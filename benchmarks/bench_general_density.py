@@ -6,10 +6,14 @@ objective (Theorem 16), and the ratio against Algorithm C (the constant the
 paper proves is 2^{O(alpha)}).
 
 A second experiment times the incremental clairvoyant-shadow layer against
-the legacy resume-from-checkpoint shadow on larger instances (n >= 50) and
+the per-query reference shadow of ``tests/shadow_oracle.py`` (a fresh C run
+warm-started from a checkpoint at the current job's release, building its
+schedule, on every engine query) on larger instances (n >= 50), and
 archives wall-clock, shadow-call counters and objective values to
-``out/BENCH_general_density.json``; the two modes must agree exactly and the
-incremental layer must be at least 5x faster.
+``out/BENCH_general_density.json`` — the reference under the ``resume``
+key.  The two must drive the same engine trajectory with objectives inside
+the shadow's documented 1e-12 band, and the incremental layer must be at
+least 5x faster.
 """
 
 from __future__ import annotations
@@ -25,12 +29,17 @@ from repro.offline import opt_fractional_lower_bound, opt_integral_lower_bound
 from repro.workloads import random_instance
 
 from conftest import emit, emit_json
+from shadow_oracle import simulate_nc_general_reference
 
 ALPHA = 3.0
 #: (jobs, seed) pairs for the shadow-layer timing experiment.
 SPEED_CASES = ((50, 301), (80, 301))
 #: acceptance floor for the incremental layer at n >= 50.
 MIN_SPEEDUP = 5.0
+#: relative objective band between the shipped shadow and the reference.
+AGREEMENT_BAND = 1e-12
+#: the timed shadows, keyed as in the archived JSON.
+SHADOWS = {"resume": simulate_nc_general_reference, "incremental": simulate_nc_general}
 _TIMING_ROUNDS = 5
 
 
@@ -57,24 +66,22 @@ def _run():
 
 
 def _time_shadow_modes():
-    """Best-of-N wall-clock of the two shadow modes on identical instances."""
+    """Best-of-N wall-clock of the two shadows on identical instances."""
     power = PowerLaw(ALPHA)
     records = []
     for n, seed in SPEED_CASES:
         inst = random_instance(n, seed=seed, volume="uniform", density="loguniform")
         best: dict[str, float] = {}
         runs = {}
-        # Interleave the modes round by round (with GC paused) so load drift
-        # on the host penalizes both equally.
+        # Interleave the shadows round by round (with GC paused) so load
+        # drift on the host penalizes both equally.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
             for _ in range(_TIMING_ROUNDS):
-                for mode in ("resume", "incremental"):
+                for mode, simulate in SHADOWS.items():
                     t0 = time.perf_counter()
-                    run = simulate_nc_general(
-                        inst, power, max_step=2e-2, shadow_mode=mode
-                    )
+                    run = simulate(inst, power, max_step=2e-2)
                     dt = time.perf_counter() - t0
                     if mode not in best or dt < best[mode]:
                         best[mode] = dt
@@ -127,9 +134,9 @@ def test_general_density(benchmark):
         for r in speed
     ]
     table += "\n" + format_table(
-        ["case", "resume [s]", "incremental [s]", "speedup", "queries", "rebuilds"],
+        ["case", "reference [s]", "incremental [s]", "speedup", "queries", "rebuilds"],
         speed_rows,
-        title="incremental shadow layer vs legacy resume (best of "
+        title="incremental shadow layer vs per-query reference (best of "
         f"{_TIMING_ROUNDS}, identical trajectories)",
         floatfmt=".3f",
     )
@@ -160,9 +167,10 @@ def test_general_density(benchmark):
         assert row[4] < 100.0
     for r in speed:
         res, inc = r["modes"]["resume"], r["modes"]["incremental"]
-        # The two shadow modes must drive bit-identical trajectories...
+        # The two shadows must drive the same trajectory...
         assert res["engine_steps"] == inc["engine_steps"]
-        assert res["fractional_objective"] == inc["fractional_objective"]
+        gap = abs(res["fractional_objective"] - inc["fractional_objective"])
+        assert gap <= AGREEMENT_BAND * res["fractional_objective"]
         # ...and the incremental layer must actually pay for itself.
         assert r["speedup"] >= MIN_SPEEDUP, (
             f"incremental shadow only {r['speedup']:.2f}x faster at n={r['jobs']}"

@@ -17,6 +17,11 @@ import pytest
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
+# The speed gates time the shipped code against the reference implementations
+# in tests/shadow_oracle.py.  Appended, not prepended, so ``conftest`` keeps
+# resolving to this file.
+sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+
 
 def emit(name: str, text: str) -> None:
     """Print a bench artifact to the real stdout and archive it."""

@@ -23,16 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.arraykernels import ArrayPopulation, KernelBackend
-from ..core.engine import SchedulingPolicy
+from ..core.engine import ArrayPopulation, SchedulingPolicy
 from ..core.job import Instance, Job
 from ..core.power import PowerFunction, PowerLaw
 from ..core.schedule import DecaySegment, Schedule, ScheduleBuilder
 from ..core.shadow import ClairvoyantShadow, SimulationContext
 
 __all__ = ["ClairvoyantRun", "simulate_clairvoyant", "ClairvoyantPolicy", "hdf_key"]
-
-_TIE_TOL = 1e-12
 
 
 def hdf_key(job: Job) -> tuple[float, float, int]:
@@ -96,10 +93,8 @@ def simulate_clairvoyant(
     power: PowerLaw,
     *,
     until: float | None = None,
-    resume: tuple[float, dict[int, float]] | None = None,
     context: SimulationContext | None = None,
     component: str = "C",
-    backend: str | KernelBackend | None = None,
 ) -> ClairvoyantRun:
     """Exact event-driven simulation of Algorithm C under ``P(s)=s**alpha``.
 
@@ -107,22 +102,8 @@ def simulate_clairvoyant(
     shadow simulations of Algorithm NC, which only need the state of C at the
     current moment); otherwise it runs to the last completion.
 
-    ``resume=(t0, remaining)`` warm-starts the run from a checkpoint: the
-    clock begins at ``t0`` with the given remaining volumes already admitted.
-    Instance jobs in ``remaining`` are never re-admitted; jobs released
-    strictly before ``t0`` and absent from ``remaining`` are treated as
-    already completed; jobs released at or after ``t0`` are admitted as
-    usual.  Used by Algorithm NC-general to avoid re-simulating the invariant
-    prefix of its shadow runs.
-
-    ``context`` — if given — routes the shadow's counters into that
-    :class:`~repro.core.shadow.SimulationContext` for observability.
-
-    ``backend`` overrides the kernel backend for the inner shadow (it wins
-    over the context's backend).  Pass ``"scalar"`` when the caller needs the
-    legacy sequential accumulation order — e.g. to keep warm-started
-    (``resume``) runs bit-identical to cold runs, which the fast backends only
-    guarantee to within the documented ``1e-12`` band.
+    ``context`` — if given — routes the shadow's counters and trace events
+    into that :class:`~repro.core.shadow.SimulationContext`.
     """
     if not isinstance(power, PowerLaw):
         raise TypeError("analytic Algorithm C requires a PowerLaw; use ClairvoyantPolicy otherwise")
@@ -140,26 +121,9 @@ def simulate_clairvoyant(
         counters=context.counters if context is not None else None,
         recorder=context.recorder if context is not None else None,
         component=component,
-        backend=backend if backend is not None else (context.backend if context is not None else None),
     )
-    if resume is not None:
-        t0, ckpt = resume
-        shadow.load_state(
-            t0,
-            [
-                (j, instance[j].density, instance[j].release, v)
-                for j, v in ckpt.items()
-                if v > 0.0
-            ],
-        )
-        covered = set(ckpt.keys())
-        for job in instance.jobs:
-            if job.job_id not in covered and job.release >= t0 * (1.0 - _TIE_TOL) - 1e-300:
-                shadow.insert_job(job.job_id, job.release, job.density, job.volume)
-    else:
-        for job in instance.jobs:
-            shadow.insert_job(job.job_id, job.release, job.density, job.volume)
-
+    for job in instance.jobs:
+        shadow.insert_job(job.job_id, job.release, job.density, job.volume)
     shadow.advance(horizon)
     shadow.materialize()
     return ClairvoyantRun(

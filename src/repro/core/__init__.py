@@ -1,17 +1,6 @@
 """Core substrate: jobs, power functions, analytic kernels, schedules,
 metrics, the non-clairvoyance oracle and the generic numeric engine."""
 
-from .arraykernels import (
-    BACKEND_ENV_VAR,
-    DEFAULT_BACKEND,
-    ArrayPopulation,
-    KernelBackend,
-    available_backends,
-    backend_payload,
-    get_backend,
-    numba_available,
-    resolve_backend,
-)
 from .errors import (
     ClairvoyanceViolationError,
     ConvergenceError,
@@ -22,7 +11,7 @@ from .errors import (
     ScheduleError,
     SimulationError,
 )
-from .engine import EngineResult, NumericEngine, SchedulingPolicy
+from .engine import ArrayPopulation, EngineResult, NumericEngine, SchedulingPolicy
 from .job import Instance, Job
 from .metrics import CostReport, evaluate, validate_schedule
 from .oracle import ReleaseInfo, VolumeOracle
@@ -88,14 +77,6 @@ __all__ = [
     "NumericEngine",
     "EngineResult",
     "ArrayPopulation",
-    "KernelBackend",
-    "BACKEND_ENV_VAR",
-    "DEFAULT_BACKEND",
-    "available_backends",
-    "backend_payload",
-    "get_backend",
-    "numba_available",
-    "resolve_backend",
     "SimulationContext",
     "ClairvoyantShadow",
     "PrefixWeightOracle",

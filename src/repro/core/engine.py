@@ -22,7 +22,9 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from .arraykernels import ArrayPopulation
+import numpy as np
+import numpy.typing as npt
+
 from .errors import SimulationError
 from .job import Instance
 from .oracle import VolumeOracle
@@ -30,11 +32,52 @@ from .power import PowerFunction
 from .schedule import ConstantSegment, Schedule, ScheduleBuilder
 from .shadow import SimulationContext
 
-__all__ = ["SchedulingPolicy", "EngineResult", "NumericEngine"]
+__all__ = ["ArrayPopulation", "SchedulingPolicy", "EngineResult", "NumericEngine"]
 
 #: Default bound on steps without progress while jobs are active (a policy
 #: running at speed 0 forever); override per engine via ``stall_limit``.
 _STALL_LIMIT_STEPS = 200_000
+
+
+class ArrayPopulation:
+    """Struct-of-arrays mirror of the engine's per-job state.
+
+    Parallel arrays over slots ``[0, count)``: ``job_id``, ``density`` and
+    ``volume`` (the engine stores *processed* volumes).  Slots appear in
+    append order and persist after completion; :meth:`slot_of` is an O(1)
+    dict lookup and appends grow the arrays geometrically.
+    """
+
+    __slots__ = ("job_id", "density", "volume", "count", "_slot")
+
+    def __init__(self, capacity: int = 16) -> None:
+        capacity = max(int(capacity), 1)
+        self.job_id: npt.NDArray[np.int64] = np.zeros(capacity, dtype=np.int64)
+        self.density: npt.NDArray[np.float64] = np.zeros(capacity, dtype=np.float64)
+        self.volume: npt.NDArray[np.float64] = np.zeros(capacity, dtype=np.float64)
+        self.count: int = 0
+        self._slot: dict[int, int] = {}
+
+    def append(self, job_id: int, density: float, volume: float) -> int:
+        """Add one job; returns its slot index."""
+        if job_id in self._slot:
+            raise ValueError(f"job {job_id} already in the population")
+        i = self.count
+        if i >= self.job_id.size:
+            for name in ("job_id", "density", "volume"):
+                old = getattr(self, name)
+                fresh = np.zeros(2 * old.size, dtype=old.dtype)
+                fresh[:i] = old
+                setattr(self, name, fresh)
+        self.job_id[i] = job_id
+        self.density[i] = density
+        self.volume[i] = volume
+        self.count = i + 1
+        self._slot[job_id] = i
+        return i
+
+    def slot_of(self, job_id: int) -> int:
+        return self._slot[job_id]
 
 
 class SchedulingPolicy(ABC):
@@ -55,9 +98,7 @@ class SchedulingPolicy(ABC):
     Policies that can evaluate their speed rule over the whole population in
     one array pass set :attr:`vectorized` and implement
     :meth:`speed_population`; the engine then maintains a struct-of-arrays
-    mirror of the processed volumes and calls that instead of :meth:`speed`
-    (unless the run's kernel backend is ``"scalar"``, which forces the
-    per-job reference path).
+    mirror of the processed volumes and calls that instead of :meth:`speed`.
     """
 
     #: Set by subclasses that implement :meth:`speed_population`.
@@ -177,11 +218,7 @@ class NumericEngine:
         # The dict stays the source of truth (oracle, interceptor, events);
         # the mirror exists so the per-step speed probe needs no O(n) dict
         # copy and the policy can evaluate its rule in one array pass.
-        pop = (
-            ArrayPopulation(capacity=max(len(releases), 1))
-            if _prefers_population(policy) and context.backend.name != "scalar"
-            else None
-        )
+        pop = ArrayPopulation(capacity=len(releases)) if _prefers_population(policy) else None
         active: set[int] = set()
         builder = ScheduleBuilder()
         t = 0.0
@@ -197,7 +234,7 @@ class NumericEngine:
                 info = releases[next_release]
                 processed[info.job_id] = 0.0
                 if pop is not None:
-                    pop.append(info.job_id, info.release, info.density, 0.0)
+                    pop.append(info.job_id, info.density, 0.0)
                 active.add(info.job_id)
                 policy.on_release(info.release, info.job_id, info.density)
                 if rec is not None:

@@ -59,9 +59,8 @@ class InvalidPowerFunctionError(ReproError):
 class KernelDomainError(ReproError, ValueError):
     """A closed-form kernel was called outside its domain.
 
-    Raised by the scalar kernels in :mod:`repro.core.kernels` and their
-    vectorized twins in :mod:`repro.core.arraykernels` when a weight, density
-    or time argument is negative or non-finite.  ``context`` always carries
+    Raised by the closed-form kernels in :mod:`repro.core.kernels` when a
+    weight, density or time argument is negative or non-finite.  ``context`` always carries
     the offending call under the machine-readable keys ``x`` (the weight-like
     argument), ``rho`` and ``t`` (``None`` for kernels without a time
     argument), so recovery code can branch on the values without parsing the

@@ -21,17 +21,17 @@ time ``t`` costs only the events between the previous query and ``t``:
   to policies via ``bind``; owns the :class:`ShadowCounters` so shadow
   activity is observable per run.
 
-Exactness contract: the event loop below mirrors
-``repro.algorithms.clairvoyant.simulate_clairvoyant`` (and its capped
-variant in ``repro.extensions.bounded_speed``) operation for operation —
-same admission tolerances, same HDF tie-breaking, same kernel-call argument
-order, same drop-only-exact-zero rule — so a staged sequence of ``advance``
-calls is bit-identical to one fresh run to the same horizon.  The only
+Exactness contract: the one event loop below serves every consumer —
+``simulate_clairvoyant``, its capped variant in
+``repro.extensions.bounded_speed``, the prefix oracles and NC-general's
+speculative queries — with fixed admission tolerances, HDF tie-breaking
+and a drop-only-exact-zero rule, so a staged sequence of ``advance`` calls
+is bit-identical to one fresh run to the same horizon.  The only
 latitude taken is *laziness*: a partial decay piece cut by a query horizon is
 kept as an anchor ``(piece start, committed state)`` and re-derived on the
 next ``advance`` instead of being split at the horizon, which is what makes
 many small advances as cheap as one big one.  The piece is committed
-("materialized") exactly where the legacy simulator would split it: at a
+("materialized") exactly where a one-shot run would split it: at a
 release event, or on :meth:`ClairvoyantShadow.materialize` /
 :meth:`ClairvoyantShadow.checkpoint`.
 """
@@ -44,9 +44,8 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable
 
-from .arraykernels import KernelBackend, backend_payload, resolve_backend
 from .errors import SimulationError
-from .kernels import decay_time_between, decay_weight_after
+from .kernels import decay_weight_after
 from .power import PowerFunction
 from .tracing import NULL_RECORDER, MetricsRegistry, TraceRecorder
 
@@ -138,9 +137,8 @@ class ShadowCounters:
 class ShadowCheckpoint:
     """Opaque snapshot of a :class:`ClairvoyantShadow` (fully materialized).
 
-    ``w_accum`` is the canonical total weight of ``remaining`` used by the
-    array-core fast path (NaN for scalar-backend snapshots, which re-derive
-    totals by summation).  Canonicalizing it at checkpoint time makes
+    ``w_accum`` is the canonical (exact ``fsum``) total weight of
+    ``remaining``.  Canonicalizing it at checkpoint time makes
     rollback-and-replay bit-identical to the first pass under the
     incremental-accumulator scheme.
     """
@@ -148,7 +146,7 @@ class ShadowCheckpoint:
     clock: float
     remaining: tuple[tuple[int, float], ...]
     pending: tuple[tuple[float, int, float, float], ...]
-    w_accum: float = math.nan
+    w_accum: float
 
 
 @dataclass(frozen=True)
@@ -192,8 +190,6 @@ class ClairvoyantShadow:
         "clock",
         "counters",
         "component",
-        "backend",
-        "_fast",
         "_beta",
         "_inv_beta",
         "_heap",
@@ -207,7 +203,6 @@ class ClairvoyantShadow:
         "_pending",
         "_next",
         "_rho",
-        "_rel",
         "_key",
         "_piece",
     )
@@ -221,7 +216,6 @@ class ClairvoyantShadow:
         record: Callable[[str, float, float, int, float], None] | None = None,
         recorder: TraceRecorder | None = None,
         component: str = "shadow",
-        backend: str | KernelBackend | None = None,
     ) -> None:
         if not alpha > 1:
             raise ValueError(f"alpha must exceed 1, got {alpha}")
@@ -233,26 +227,19 @@ class ClairvoyantShadow:
         self.counters = counters if counters is not None else ShadowCounters()
         self._record = record
         self.component = component
-        #: resolved kernel backend.  ``"scalar"`` runs the legacy O(n)-scan
-        #: event loop verbatim (bit-identical fallback); the array backends
-        #: run the fast loop: HDF argmin from a heap of precomputed keys and
-        #: the total weight from an incremental accumulator, O(log n)/event.
-        self.backend = resolve_backend(backend)
-        self._fast = self.backend.name != "scalar"
         #: hoisted per-run kernel constants (beta = 1 - 1/alpha), so the hot
         #: loop evaluates the closed forms without per-event re-derivation.
         self._beta = 1.0 - 1.0 / self.alpha
         self._inv_beta = 1.0 / self._beta
-        #: fast-path structures: min-heap of HDF keys over the active set and
-        #: the incremental total fractional weight of ``_remaining``.  The
+        #: min-heap of HDF keys over the active set and the incremental total
+        #: fractional weight of ``_remaining``, so an event costs O(log n).  The
         #: accumulator is reset to exactly 0.0 whenever the active set drains
         #: and re-canonicalized (exact fsum) at every checkpoint, so replay
         #: from a checkpoint is bit-identical to the first pass.
         self._heap: list[tuple[float, float, int]] = []
         self._w_accum = 0.0
-        #: fast-path pending-id set (O(1) duplicate checks); None in scalar
-        #: mode, which keeps the legacy linear scan.
-        self._pending_ids: set[int] | None = set() if self._fast else None
+        #: ids of the not-yet-admitted jobs (O(1) duplicate checks).
+        self._pending_ids: set[int] = set()
         #: hoisted zero-overhead guard: None unless tracing is actually on.
         self._rec = recorder if (recorder is not None and recorder.enabled) else None
         #: time of the last *committed* event; the anchored partial piece (if
@@ -260,7 +247,7 @@ class ClairvoyantShadow:
         self._t_loop = 0.0
         self.clock = 0.0
         #: admitted, uncompleted jobs: id -> remaining volume, in admission
-        #: order (== the legacy simulator's dict order).
+        #: order (== a one-shot run's dict order).
         self._remaining: dict[int, float] = {}
         #: not-yet-admitted jobs as (release, id, density, volume), sorted;
         #: consumed by index so checkpoints can snapshot the tail cheaply.
@@ -268,7 +255,6 @@ class ClairvoyantShadow:
         self._next = 0
         #: per-job metadata (survives completion; needed for HDF keys).
         self._rho: dict[int, float] = {}
-        self._rel: dict[int, float] = {}
         #: precomputed HDF sort key per job (-density, release, id).
         self._key: dict[int, tuple[float, float, int]] = {}
         #: cache of the anchored piece, ``(current job, its density, total
@@ -296,21 +282,14 @@ class ClairvoyantShadow:
                 f"job {job_id} released at {release}, before the shadow's "
                 f"committed past (t={self._t_loop}); rollback first"
             )
-        pending_ids = self._pending_ids
-        if job_id in self._remaining or (
-            job_id in pending_ids
-            if pending_ids is not None
-            else any(e[1] == job_id for e in self._pending[self._next :])
-        ):
+        if job_id in self._remaining or job_id in self._pending_ids:
             raise SimulationError(f"job {job_id} already known to the shadow")
         self._rho[job_id] = density
-        self._rel[job_id] = release
         self._key[job_id] = (-density, release, job_id)
         entry = (release, job_id, density, volume)
         i = bisect_right(self._pending, entry, lo=self._next)
         self._pending.insert(i, entry)
-        if pending_ids is not None:
-            pending_ids.add(job_id)
+        self._pending_ids.add(job_id)
         self.counters.inserts += 1
         if self._rec is not None:
             self._rec.emit(
@@ -352,218 +331,29 @@ class ClairvoyantShadow:
 
     def _admit(self, now: float) -> None:
         pending = self._pending
-        fast = self._fast
         while self._next < len(pending) and pending[self._next][0] <= now * (1.0 + _TIE_TOL):
             _, jid, rho, vol = pending[self._next]
             self._remaining[jid] = vol
-            if fast:
-                heappush(self._heap, self._key[jid])
-                self._w_accum += rho * vol
-                assert self._pending_ids is not None
-                self._pending_ids.discard(jid)
+            heappush(self._heap, self._key[jid])
+            self._w_accum += rho * vol
+            self._pending_ids.discard(jid)
             self._next += 1
 
     def _run_loop(self, horizon: float) -> None:
-        if self._fast:
-            self._run_loop_fast(horizon)
-        else:
-            self._run_loop_scalar(horizon)
+        """Algorithm C's event loop from the committed state to ``horizon``.
 
-    def _run_loop_scalar(self, horizon: float) -> None:
-        """The legacy event loop, verbatim, with lazy horizon cuts."""
-        rem = self._remaining
-        rho_of = self._rho
-        key_of = self._key
-        alpha = self.alpha
-        s_max = self.s_max
-        w_sat = self._w_sat
-        record = self._record
-        rec = self._rec
-        comp = self.component
-        counters = self.counters
-        dtb = decay_time_between
-        dwa = decay_weight_after
-        pending = self._pending
-        n_pending = len(pending)
-        nxt = self._next
-        counters.advances += 1
-        self._piece = None
-        t = self._t_loop
-        if t >= self.clock:
-            # Not anchored inside a piece: mirror the legacy entry admission.
-            bound = t * (1.0 + _TIE_TOL)
-            while nxt < n_pending and pending[nxt][0] <= bound:
-                rem[pending[nxt][1]] = pending[nxt][3]
-                nxt += 1
-        while t < horizon and (rem or nxt < n_pending):
-            if not rem:
-                t = min(pending[nxt][0], horizon)
-                bound = t * (1.0 + _TIE_TOL)
-                while nxt < n_pending and pending[nxt][0] <= bound:
-                    rem[pending[nxt][1]] = pending[nxt][3]
-                    nxt += 1
-                continue
-            cur = min(rem, key=key_of.__getitem__)
-            rho = rho_of[cur]
-            w_total = sum(rho_of[j] * v for j, v in rem.items())
-            if w_total <= 0:
-                raise SimulationError("active set with zero weight")
-            t_next = pending[nxt][0] if nxt < n_pending else math.inf
-            if s_max is not None and rho * rem[cur] <= 1e-15 * w_total:
-                # Underflow against the total: in the saturated branch the
-                # processing time would round to zero.  Finish instantly.
-                del rem[cur]
-                counters.events += 1
-                if rec is not None:
-                    rec.emit("completion", t, comp, job=cur)
-                continue
-            w_end = w_total - rho * rem[cur]
-
-            if w_total > w_sat * (1.0 + _TIE_TOL):
-                # Saturated phase: constant speed s_max, weight falls linearly.
-                target = max(w_sat, w_end)
-                tau_phase = (w_total - target) / (rho * s_max)
-                t_stop = min(t + tau_phase, t_next, horizon)
-                if t_stop <= t:
-                    # tau_phase underflows against t: no representable time
-                    # can make progress (the legacy loop spins forever here).
-                    # Apply the sliver instantly and move on.
-                    rem[cur] = max(rem[cur] - (w_total - target) / rho, 0.0)
-                    if rem[cur] <= 0.0:
-                        del rem[cur]
-                        if rec is not None:
-                            rec.emit("completion", t, comp, job=cur)
-                    counters.events += 1
-                    continue
-                if (
-                    t_stop >= horizon
-                    and t_stop < t + tau_phase
-                    and not t_next <= horizon * (1.0 + _TIE_TOL)
-                ):
-                    self._t_loop = t
-                    self.clock = horizon
-                    self._next = nxt
-                    self._piece = (cur, rho, w_total)
-                    return
-                tau = t_stop - t
-                if tau > 0:
-                    if record is not None:
-                        record("const", t, t_stop, cur, s_max)
-                    if rec is not None:
-                        rec.emit(
-                            "kernel_eval",
-                            t,
-                            comp,
-                            profile="const",
-                            t0=t,
-                            t1=t_stop,
-                            job=cur,
-                            speed=s_max,
-                            rho=rho,
-                            alpha=alpha,
-                        )
-                    dv = s_max * tau
-                    rem[cur] = max(rem[cur] - dv, 0.0)
-                    if rem[cur] <= 0.0:
-                        del rem[cur]
-                        if rec is not None:
-                            rec.emit("completion", t_stop, comp, job=cur)
-                    counters.events += 1
-                t = t_stop
-                bound = t * (1.0 + _TIE_TOL)
-                while nxt < n_pending and pending[nxt][0] <= bound:
-                    rem[pending[nxt][1]] = pending[nxt][3]
-                    nxt += 1
-                continue
-
-            tau_complete = dtb(w_total, max(w_end, 0.0), rho, alpha)
-            t_stop = min(t + tau_complete, t_next, horizon)
-            if t_stop >= t + tau_complete * (1.0 - _TIE_TOL):
-                # The current job completes first.
-                if record is not None:
-                    record("decay", t, t + tau_complete, cur, w_total)
-                if rec is not None:
-                    rec.emit(
-                        "kernel_eval",
-                        t,
-                        comp,
-                        profile="decay",
-                        t0=t,
-                        t1=t + tau_complete,
-                        job=cur,
-                        x0=w_total,
-                        rho=rho,
-                        alpha=alpha,
-                    )
-                t = t + tau_complete
-                del rem[cur]
-                counters.events += 1
-                if rec is not None:
-                    rec.emit("completion", t, comp, job=cur)
-            else:
-                if t_stop >= horizon and not t_next <= horizon * (1.0 + _TIE_TOL):
-                    # Cut only by the query horizon with no admission due:
-                    # keep the piece anchored instead of splitting it here.
-                    self._t_loop = t
-                    self.clock = horizon
-                    self._next = nxt
-                    self._piece = (cur, rho, w_total)
-                    return
-                tau = t_stop - t
-                if tau > 0:
-                    w_after = dwa(w_total, rho, tau, alpha)
-                    dv = (w_total - w_after) / rho
-                    if record is not None:
-                        record("decay", t, t_stop, cur, w_total)
-                    if rec is not None:
-                        rec.emit(
-                            "kernel_eval",
-                            t,
-                            comp,
-                            profile="decay",
-                            t0=t,
-                            t1=t_stop,
-                            job=cur,
-                            x0=w_total,
-                            rho=rho,
-                            alpha=alpha,
-                        )
-                    rem[cur] = max(rem[cur] - dv, 0.0)
-                    # Only drop exact zeros — a 1e-15 remainder is usually the
-                    # analytically correct value (see simulate_clairvoyant).
-                    if rem[cur] <= 0.0:
-                        del rem[cur]
-                        if rec is not None:
-                            rec.emit("completion", t_stop, comp, job=cur)
-                    counters.events += 1
-                t = t_stop
-            bound = t * (1.0 + _TIE_TOL)
-            while nxt < n_pending and pending[nxt][0] <= bound:
-                rem[pending[nxt][1]] = pending[nxt][3]
-                nxt += 1
-        self._t_loop = t
-        self._next = nxt
-        # Natural exit: work exhausted before the horizon leaves the clock at
-        # the last event, like the legacy run; an event landing at or past
-        # the horizon (completion overshoot within the tie tolerance) also
-        # reports that time.
-        self.clock = t
-
-    def _run_loop_fast(self, horizon: float) -> None:
-        """The event loop on the array-core fast path.
-
-        Same event structure, tie tolerances and kernel algebra as
-        :meth:`_run_loop_scalar`, with the two O(n)-per-event scans replaced:
-        the HDF argmin comes from a min-heap of the precomputed ``_key``
+        The HDF argmin comes from a min-heap of the precomputed ``_key``
         tuples (only the minimum-key job ever completes, so pops stay aligned
         with the dict) and the total weight from an incremental accumulator
-        updated by the weight each committed event removes or admits.  The
-        accumulator is reset to exactly 0.0 whenever the active set drains
-        and re-canonicalized at every :meth:`checkpoint`, bounding float
-        drift to ~1e-15 relative per busy period (``tests/test_arraykernels``
-        pins full-run agreement with the scalar loop at 1e-12).  Trace events
-        are buffered per advance and flushed in emission order on exit —
-        batched, but replay-equivalent for ``trace_report``.
+        updated by the weight each committed event removes or admits, so an
+        event costs O(log n) rather than two O(n) scans.  The accumulator is
+        reset to exactly 0.0 whenever the active set drains and
+        re-canonicalized at every :meth:`checkpoint`, bounding float drift to
+        ~1e-15 relative per busy period; ``tests/test_arraykernels.py`` pins
+        full-run agreement with the O(n)-scan reference loop in
+        ``tests/shadow_oracle.py`` at 1e-12.  Trace events are buffered per
+        advance and flushed in emission order on exit — batched, but
+        replay-equivalent for ``trace_report``.
         """
         rem = self._remaining
         rho_of = self._rho
@@ -596,15 +386,14 @@ class ClairvoyantShadow:
 
         t = self._t_loop
         if t >= self.clock:
-            # Not anchored inside a piece: mirror the legacy entry admission.
+            # Not anchored inside a piece: admit what a fresh run would.
             bound = t * (1.0 + _TIE_TOL)
             while nxt < n_pending and pending[nxt][0] <= bound:
                 _, jid, rho_j, vol = pending[nxt]
                 rem[jid] = vol
                 heappush(heap, key_of[jid])
                 w_accum += rho_j * vol
-                if pend_ids is not None:
-                    pend_ids.discard(jid)
+                pend_ids.discard(jid)
                 nxt += 1
         while t < horizon and (rem or nxt < n_pending):
             if not rem:
@@ -616,15 +405,14 @@ class ClairvoyantShadow:
                     rem[jid] = vol
                     heappush(heap, key_of[jid])
                     w_accum += rho_j * vol
-                    if pend_ids is not None:
-                        pend_ids.discard(jid)
+                    pend_ids.discard(jid)
                     nxt += 1
                 continue
             cur = heap[0][2]
             rho = rho_of[cur]
             if len(rem) == 1:
                 # Single-job tail: the dict sum is one product, so re-derive
-                # it exactly (matching the scalar loop's per-event fsum).
+                # it exactly (matching a fresh sum over the active set).
                 # Without this, ``w_end`` below carries the accumulator's
                 # ~1e-16 residue where the true value is exactly 0, and
                 # ``w_end**beta`` amplifies that into a ~1e-11 error on the
@@ -721,8 +509,7 @@ class ClairvoyantShadow:
                     rem[jid] = vol
                     heappush(heap, key_of[jid])
                     w_accum += rho_j * vol
-                    if pend_ids is not None:
-                        pend_ids.discard(jid)
+                    pend_ids.discard(jid)
                     nxt += 1
                 continue
 
@@ -817,8 +604,7 @@ class ClairvoyantShadow:
                 rem[jid] = vol
                 heappush(heap, key_of[jid])
                 w_accum += rho_j * vol
-                if pend_ids is not None:
-                    pend_ids.discard(jid)
+                pend_ids.discard(jid)
                 nxt += 1
         self._t_loop = t
         self._next = nxt
@@ -826,37 +612,36 @@ class ClairvoyantShadow:
         self._w_accum = w_accum
         flush()
 
+    def _current_piece(self) -> tuple[int, float, float]:
+        """``(current job, its density, total weight at _t_loop)`` of the
+        anchored piece, re-derived from the heap and the accumulator when the
+        horizon cut left no cached copy."""
+        if self._piece is not None:
+            return self._piece
+        rem = self._remaining
+        rho_of = self._rho
+        cur = self._heap[0][2]
+        rho = rho_of[cur]
+        if len(rem) == 1:
+            # Same single-job exact tail as the event loop.
+            w_total = self._w_accum = rho * rem[cur]
+        else:
+            w_total = self._w_accum
+        if w_total <= 0:
+            w_total = self._w_accum = math.fsum(rho_of[j] * v for j, v in rem.items())
+        return cur, rho, w_total
+
     def materialize(self) -> None:
         """Commit the anchored partial piece (if any) at the current clock.
 
-        After this the state equals what a fresh legacy run to ``clock``
-        reports, including the split of the in-progress piece at ``clock``.
+        After this the state equals what a fresh run to ``clock`` reports,
+        including the split of the in-progress piece at ``clock``.
         """
         rem = self._remaining
         if self.clock <= self._t_loop or not rem:
             self._t_loop = max(self._t_loop, self.clock)
             return
-        fast = self._fast
-        rho_of = self._rho
-        key_of = self._key
-        if self._piece is not None:
-            cur, rho, w_total = self._piece
-        elif fast:
-            cur = self._heap[0][2]
-            rho = rho_of[cur]
-            if len(rem) == 1:
-                # Same single-job exact tail as the fast loop.
-                w_total = self._w_accum = rho * rem[cur]
-            else:
-                w_total = self._w_accum
-            if w_total <= 0:
-                w_total = self._w_accum = math.fsum(
-                    rho_of[j] * v for j, v in rem.items()
-                )
-        else:
-            cur = min(rem, key=key_of.__getitem__)
-            rho = rho_of[cur]
-            w_total = sum(rho_of[j] * v for j, v in rem.items())
+        cur, rho, w_total = self._current_piece()
         tau = self.clock - self._t_loop
         rec = self._rec
         if self.s_max is not None and w_total > self._w_sat * (1.0 + _TIE_TOL):
@@ -898,15 +683,13 @@ class ClairvoyantShadow:
         new_v = max(old - dv, 0.0)
         if new_v <= 0.0:
             del rem[cur]
-            if fast:
-                heappop(self._heap)
-                self._w_accum = self._w_accum - rho * old if rem else 0.0
+            heappop(self._heap)
+            self._w_accum = self._w_accum - rho * old if rem else 0.0
             if rec is not None:
                 rec.emit("completion", self.clock, self.component, job=cur)
         else:
             rem[cur] = new_v
-            if fast:
-                self._w_accum -= rho * (old - new_v)
+            self._w_accum -= rho * (old - new_v)
         self.counters.events += 1
         self._t_loop = self.clock
         self._piece = None
@@ -920,26 +703,7 @@ class ClairvoyantShadow:
         rem = self._remaining
         if self.clock <= self._t_loop or not rem:
             return None
-        rho_of = self._rho
-        key_of = self._key
-        if self._piece is not None:
-            cur, rho, w_total = self._piece
-        elif self._fast:
-            cur = self._heap[0][2]
-            rho = rho_of[cur]
-            if len(rem) == 1:
-                # Same single-job exact tail as the fast loop.
-                w_total = self._w_accum = rho * rem[cur]
-            else:
-                w_total = self._w_accum
-            if w_total <= 0:
-                w_total = self._w_accum = math.fsum(
-                    rho_of[j] * v for j, v in rem.items()
-                )
-        else:
-            cur = min(rem, key=key_of.__getitem__)
-            rho = rho_of[cur]
-            w_total = sum(rho_of[j] * v for j, v in rem.items())
+        cur, rho, w_total = self._current_piece()
         tau = self.clock - self._t_loop
         if self.s_max is not None and w_total > self._w_sat * (1.0 + _TIE_TOL):
             dv = self.s_max * tau
@@ -949,29 +713,18 @@ class ClairvoyantShadow:
         return cur, max(rem[cur] - dv, 0.0)
 
     def remaining_weight(self) -> float:
-        """``W^C(clock)`` — total remaining fractional weight, live state."""
+        """``W^C(clock)`` — total remaining fractional weight, live state.
+
+        O(1): the committed accumulator, minus the anchored piece's decay on
+        the current job.  Clamped at 0.0 — accumulator drift must never hand
+        a negative weight to the growth kernels."""
         self.counters.queries += 1
-        rho_of = self._rho
-        if self._fast:
-            # O(1): the committed accumulator, minus the anchored piece's
-            # decay on the current job.  Clamped at 0.0 — accumulator drift
-            # must never hand a negative weight to the growth kernels.
-            peek = self._peek_current()
-            total = self._w_accum
-            if peek is not None:
-                cur, val = peek
-                total -= rho_of[cur] * (self._remaining[cur] - val)
-            return total if total > 0.0 else 0.0
         peek = self._peek_current()
-        if peek is None:
-            return sum(rho_of[j] * v for j, v in self._remaining.items())
-        cur, val = peek
-        # Same accumulation order as a sum over the materialized dict; a
-        # completed current job contributes 0.0, exactly as its deleted entry
-        # would be absent from that sum.
-        return sum(
-            rho_of[j] * (val if j == cur else v) for j, v in self._remaining.items()
-        )
+        total = self._w_accum
+        if peek is not None:
+            cur, val = peek
+            total -= self._rho[cur] * (self._remaining[cur] - val)
+        return total if total > 0.0 else 0.0
 
     def remaining_items(self) -> list[tuple[int, float, float]]:
         """Materialized-equivalent ``(job_id, density, remaining volume)`` at
@@ -1007,21 +760,20 @@ class ClairvoyantShadow:
                 active=len(self._remaining),
                 pending=len(self._pending) - self._next,
             )
-        if self._fast:
-            # Canonicalize the accumulator at the snapshot boundary: replay
-            # from this checkpoint then becomes a deterministic function of
-            # the committed state, bit-identical on every restore.
-            rho_of = self._rho
-            self._w_accum = (
-                math.fsum(rho_of[j] * v for j, v in self._remaining.items())
-                if self._remaining
-                else 0.0
-            )
+        # Canonicalize the accumulator at the snapshot boundary: replay from
+        # this checkpoint then becomes a deterministic function of the
+        # committed state, bit-identical on every restore.
+        rho_of = self._rho
+        self._w_accum = (
+            math.fsum(rho_of[j] * v for j, v in self._remaining.items())
+            if self._remaining
+            else 0.0
+        )
         return ShadowCheckpoint(
             clock=self.clock,
             remaining=tuple(self._remaining.items()),
             pending=tuple(self._pending[self._next :]),
-            w_accum=self._w_accum if self._fast else math.nan,
+            w_accum=self._w_accum,
         )
 
     def rollback(self, ckpt: ShadowCheckpoint) -> None:
@@ -1034,31 +786,20 @@ class ClairvoyantShadow:
             self._rec.emit(
                 "shadow_rollback", ckpt.clock, self.component, from_time=self.clock
             )
-        self.clock = ckpt.clock
-        self._t_loop = ckpt.clock
+        self._restore(ckpt)
+
+    def _restore(self, ckpt: ShadowCheckpoint) -> None:
+        """Reset the live state, heap, accumulator and pending ids to a
+        snapshot."""
+        self.clock = self._t_loop = ckpt.clock
         self._remaining = dict(ckpt.remaining)
         self._pending = list(ckpt.pending)
         self._next = 0
         self._piece = None
-        if self._fast:
-            self._restore_fast(ckpt)
-
-    def _restore_fast(self, ckpt: ShadowCheckpoint) -> None:
-        """Rebuild the fast-path structures after a snapshot restore."""
         key_of = self._key
         self._heap = [key_of[j] for j, _ in ckpt.remaining]
         heapify(self._heap)
-        if math.isnan(ckpt.w_accum):
-            # Snapshot taken by a scalar-backend shadow: derive the canonical
-            # total the same way checkpoint() would have.
-            rho_of = self._rho
-            self._w_accum = (
-                math.fsum(rho_of[j] * v for j, v in ckpt.remaining)
-                if ckpt.remaining
-                else 0.0
-            )
-        else:
-            self._w_accum = ckpt.w_accum
+        self._w_accum = ckpt.w_accum
         self._pending_ids = {e[1] for e in ckpt.pending}
 
     def query_with_job(
@@ -1089,62 +830,24 @@ class ClairvoyantShadow:
                 from_time=self.clock,
                 speculative=True,
             )
-        self.clock = self._t_loop = base.clock
-        rem = self._remaining = dict(base.remaining)
-        pending = self._pending = list(base.pending)
-        self._next = 0
-        self._piece = None
-        fast = self._fast
-        if fast:
-            self._restore_fast(base)
+        self._restore(base)
         if job_id is not None:
             self._rho[job_id] = density
-            self._rel[job_id] = release
-            self._key[job_id] = (-density, release, job_id)
+            key = self._key[job_id] = (-density, release, job_id)
             counters.inserts += 1
             if release <= base.clock * (1.0 + _TIE_TOL):
                 # The base is materialized with no admission due, so the
                 # job joins the active set directly, as _admit would place it.
-                rem[job_id] = volume
-                if fast:
-                    heappush(self._heap, self._key[job_id])
-                    self._w_accum += density * volume
+                self._remaining[job_id] = volume
+                heappush(self._heap, key)
+                self._w_accum += density * volume
             else:
                 entry = (release, job_id, density, volume)
-                pending.insert(bisect_right(pending, entry), entry)
-                if fast:
-                    assert self._pending_ids is not None
-                    self._pending_ids.add(job_id)
+                self._pending.insert(bisect_right(self._pending, entry), entry)
+                self._pending_ids.add(job_id)
         if t > self.clock:
             self._run_loop(t)
         return self.remaining_weight()
-
-    # -- warm start (used by the analytic simulators' resume path) ------------
-
-    def load_state(
-        self, clock: float, remaining: list[tuple[int, float, float, float]]
-    ) -> None:
-        """Seed the shadow from an external checkpoint.
-
-        ``remaining`` is ``(job_id, density, release, volume)`` in the order
-        the jobs should occupy the active set.  Must be called before any
-        insert or advance."""
-        if self._rho or self._pending:
-            raise SimulationError("load_state on a non-fresh shadow")
-        self.clock = self._t_loop = float(clock)
-        for jid, rho, rel, vol in remaining:
-            self._rho[jid] = rho
-            self._rel[jid] = rel
-            self._key[jid] = (-rho, rel, jid)
-            self._remaining[jid] = vol
-        if self._fast:
-            self._heap = [self._key[jid] for jid, _, _, _ in remaining]
-            heapify(self._heap)
-            self._w_accum = (
-                math.fsum(rho * vol for _, rho, _, vol in remaining)
-                if remaining
-                else 0.0
-            )
 
 
 class PrefixWeightOracle:
@@ -1157,7 +860,7 @@ class PrefixWeightOracle:
     then each query costs only the events since the previous one.  A query or
     insertion that goes backwards in time triggers a from-scratch rebuild
     (counted in :attr:`ShadowCounters.rebuilds`), which reproduces exactly
-    what a fresh legacy simulation would report.
+    what a fresh simulation would report.
     """
 
     def __init__(
@@ -1168,13 +871,11 @@ class PrefixWeightOracle:
         counters: ShadowCounters | None = None,
         recorder: TraceRecorder | None = None,
         component: str = "shadow",
-        backend: str | KernelBackend | None = None,
     ) -> None:
         self.alpha = alpha
         self.s_max = s_max
         self.counters = counters if counters is not None else ShadowCounters()
         self.component = component
-        self.backend = resolve_backend(backend)
         self._recorder = recorder
         self._rec = recorder if (recorder is not None and recorder.enabled) else None
         self._jobs: list[tuple[float, int, float, float]] = []  # (release, id, rho, vol)
@@ -1184,7 +885,6 @@ class PrefixWeightOracle:
             counters=self.counters,
             recorder=recorder,
             component=component,
-            backend=self.backend,
         )
         self._dirty = False
 
@@ -1215,7 +915,6 @@ class PrefixWeightOracle:
                 counters=self.counters,
                 recorder=self._recorder,
                 component=self.component,
-                backend=self.backend,
             )
             for release, jid, rho, vol in sorted(self._jobs):
                 self._shadow.insert_job(jid, release, rho, vol)
@@ -1248,23 +947,12 @@ class SimulationContext:
         *,
         counters: ShadowCounters | None = None,
         recorder: TraceRecorder | None = None,
-        backend: str | KernelBackend | None = None,
     ) -> None:
         self.power = power
         self.counters = counters if counters is not None else ShadowCounters()
         #: the run's metrics substrate — counters are a view over it.
         self.metrics = self.counters.registry
         self.recorder: TraceRecorder = recorder if recorder is not None else NULL_RECORDER
-        #: the kernel backend every shadow oracle built from this context
-        #: runs on (``None`` defers to the ``REPRO_BACKEND`` environment
-        #: variable, then the numpy default).
-        self.backend: KernelBackend = resolve_backend(backend)
-        if self.recorder.enabled:
-            # One structured header per run: which backend was selected, its
-            # vector width and whether the compiled path was available.
-            self.recorder.emit(
-                "backend_selected", 0.0, "context", **backend_payload(self.backend)
-            )
         self.oracle = None  # set by the engine at run start
         #: fault-injection hooks, wired by :mod:`repro.faults`.  All default
         #: to inert (``None``) so an unfaulted run pays one attribute read.
@@ -1340,7 +1028,6 @@ class SimulationContext:
             record=record,
             recorder=self.recorder,
             component=component,
-            backend=self.backend,
         )
 
     def prefix_oracle(
@@ -1355,5 +1042,4 @@ class SimulationContext:
             counters=self.counters,
             recorder=self.recorder,
             component=component,
-            backend=self.backend,
         )

@@ -201,7 +201,8 @@ class SessionCreateRequest(BaseModel):
     arrival queue — the backpressure knob; a batch that would overflow it is
     rejected with 429.  ``trace_path`` attaches a per-session
     :class:`~repro.core.tracing.JsonlRecorder` (``sink``: ``plain`` | ``gzip``
-    | ``rotate:N``), flushed on session close and on service shutdown.
+    | ``rotate:N`` with ``N >= 1``; anything else is a 422), flushed on
+    session close and on service shutdown.
     """
 
     model_config = ConfigDict(extra="forbid")
@@ -213,8 +214,7 @@ class SessionCreateRequest(BaseModel):
     queue_limit: int = Field(default=256, ge=1, le=65536)
     jobs: list[JobModel] = Field(default_factory=list)
     trace_path: Optional[str] = None
-    sink: str = "plain"
-    backend: Optional[str] = None
+    sink: str = Field(default="plain", pattern=r"^(plain|gzip|rotate:0*[1-9][0-9]*)$")
 
 
 class SessionInfo(BaseModel):

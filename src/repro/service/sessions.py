@@ -231,11 +231,11 @@ class Session:
         self,
         session_id: str,
         request: SessionCreateRequest,
-        *,
-        journal: SessionJournal | None = None,
     ) -> None:
         self.session_id = session_id
-        self.journal = journal
+        #: the session's write-ahead journal, attached by the manager once
+        #: the session is built (None when the manager does not journal).
+        self.journal: SessionJournal | None = None
         self.algorithm = request.algorithm
         self.power = PowerLaw(request.alpha)
         self.max_step = request.max_step
@@ -245,9 +245,7 @@ class Session:
             if request.trace_path
             else NULL_RECORDER
         )
-        self.context = SimulationContext(
-            self.power, recorder=self.recorder, backend=request.backend
-        )
+        self.context = SimulationContext(self.power, recorder=self.recorder)
         self.context.emit(
             "run_meta",
             0.0,
@@ -484,9 +482,7 @@ class Session:
         Bit-identical to driving the same prefix through a direct
         :class:`SimulationContext` — the substrate for speculative
         future-``t`` queries, discarded after the read."""
-        shadow = SimulationContext(self.power, backend=self.context.backend).shadow(
-            component="service.speculative"
-        )
+        shadow = SimulationContext(self.power).shadow(component="service.speculative")
         for job in self.jobs:
             shadow.insert_job(job.job_id, job.release, job.density, job.volume)
             shadow.advance(job.release)
@@ -535,9 +531,7 @@ class Session:
                     "uniform densities; non-uniform sessions expose metrics instead"
                 )
             rec = MemoryRecorder()
-            context = SimulationContext(
-                self.power, recorder=rec, backend=self.context.backend
-            )
+            context = SimulationContext(self.power, recorder=rec)
             context.emit(
                 "run_meta",
                 0.0,
@@ -683,6 +677,13 @@ class SessionManager:
 
     # -- sessions -------------------------------------------------------------
 
+    def _new_session(self, session_id: str, request: SessionCreateRequest) -> Session:
+        """Build a session, then open its journal — in that order, so a
+        request the session rejects leaves no journal behind."""
+        session = Session(session_id, request)
+        session.journal = self._open_journal(session_id, request)
+        return session
+
     async def create_session(
         self, request: SessionCreateRequest, *, client_key: str | None = None
     ) -> Session:
@@ -707,7 +708,7 @@ class SessionManager:
             # Re-creating an evicted id is allowed: the tombstone yields to
             # the live session (and its journal starts over).
             self.evicted.pop(sid, None)
-            session = Session(sid, request, journal=self._open_journal(sid, request))
+            session = self._new_session(sid, request)
             self.sessions[sid] = session
             self._touched[sid] = self._clock()
         if request.jobs:
@@ -804,6 +805,11 @@ class SessionManager:
                 continue
             try:
                 payload = dict(records[0]["request"])
+                # Journals written before kernel backends were removed carry
+                # a ``"backend": null`` field that ``extra="forbid"`` would
+                # reject; drop it so those sessions restore instead of being
+                # quarantined.
+                payload.pop("backend", None)
                 payload["session_id"] = sid
                 payload["jobs"] = []
                 request = SessionCreateRequest.model_validate(payload)
@@ -835,7 +841,7 @@ class SessionManager:
         async with self._lock:
             if sid in self.sessions:
                 raise KeyError(f"session {sid!r} already exists")
-            session = Session(sid, request, journal=self._open_journal(sid, request))
+            session = self._new_session(sid, request)
             self.sessions[sid] = session
             self._touched[sid] = self._clock()
         for record in records:

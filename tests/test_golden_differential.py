@@ -72,7 +72,6 @@ def test_nc_general_matches_golden(key):
         epsilon=entry["epsilon"],
         max_step=entry["max_step"],
     )
-    assert run.shadow_mode == "incremental"  # the default, i.e. the new layer
     for jid_str, completion in entry["completions"].items():
         assert _close(run.completion_time(int(jid_str)), completion), (
             f"completion of job {jid_str}"

@@ -12,6 +12,8 @@ from repro.algorithms.clairvoyant import simulate_clairvoyant
 from repro.algorithms.nc_general import NCGeneralPolicy, eta_threshold, simulate_nc_general
 from repro.core.metrics import evaluate
 from repro.offline.bounds import opt_fractional_lower_bound
+from repro.workloads import random_instance
+from shadow_oracle import simulate_c, simulate_nc_general_reference
 
 
 class TestEtaThreshold:
@@ -151,57 +153,59 @@ class TestCurrentInstance:
 
 
 class TestShadowCheckpoints:
-    def test_bit_identical_with_and_without(self, cube):
-        """The checkpointed shadow runs must not change results at all."""
-        from repro.core.engine import NumericEngine
-        from repro.core.metrics import evaluate
-        from repro.workloads import random_instance
+    """The shipped epoch shadow against the per-query reference C run of
+    ``tests/shadow_oracle.py``, and that reference's own warm start."""
 
+    def test_bit_identical_with_and_without(self, cube):
+        """The reference's checkpointed shadow runs must not change results
+        at all."""
         inst = random_instance(8, 23, volume="uniform", density="loguniform")
 
         def run(ckpt: bool) -> float:
-            pol = NCGeneralPolicy(cube, use_checkpoints=ckpt)
-            res = NumericEngine(cube, max_step=2e-2, min_step=1e-14).run(inst, pol)
+            res = simulate_nc_general_reference(inst, cube, max_step=2e-2, use_checkpoints=ckpt)
             return evaluate(res.schedule, inst, cube).fractional_objective
 
         assert run(True) == run(False)
 
-    def test_resume_matches_cold_run(self, cube):
-        """simulate_clairvoyant(resume=...) continues exactly where a cold run
-        left off."""
-        from repro.algorithms.clairvoyant import simulate_clairvoyant
+    @pytest.mark.parametrize("seed", [23, 24])
+    def test_incremental_matches_reference(self, cube, seed):
+        """Same engine trajectory, objective within the 1e-12 band."""
+        inst = random_instance(8, seed, volume="uniform", density="loguniform")
+        ref = simulate_nc_general_reference(inst, cube, max_step=2e-2)
+        inc = simulate_nc_general(inst, cube, max_step=2e-2)
+        assert inc.engine_steps == ref.engine_steps
+        want = evaluate(ref.schedule, inst, cube).fractional_objective
+        got = evaluate(inc.schedule, inst, cube).fractional_objective
+        assert got == pytest.approx(want, rel=1e-12)
 
+    def test_resume_matches_cold_run(self, cube):
+        """A reference run warm-started from a shipped run's state at ``t0``
+        continues exactly where the cold run left off."""
         inst = Instance(
             [Job(0, 0.0, 3.0, 1.0), Job(1, 0.7, 1.0, 5.0), Job(2, 1.4, 2.0, 1.0)]
         )
         t0 = 1.0
         cold_mid = simulate_clairvoyant(inst, cube, until=t0)
-        warm = simulate_clairvoyant(inst, cube, resume=(t0, dict(cold_mid.remaining)))
+        warm, _ = simulate_c(inst, cube, resume=(t0, dict(cold_mid.remaining)))
         cold = simulate_clairvoyant(inst, cube)
-        assert warm.schedule.end_time == pytest.approx(cold.schedule.end_time, rel=1e-12)
+        assert warm.end_time == pytest.approx(cold.schedule.end_time, rel=1e-12)
         # The warm schedule covers [t0, end): its per-job volumes equal the
         # cold run's post-t0 volumes, i.e. the checkpoint remainders.
         for jid in inst.job_ids:
             post = cold.schedule.processed_volume(jid) - cold.schedule.processed_volume_until(
                 jid, t0
             )
-            assert warm.schedule.processed_volume(jid) == pytest.approx(
-                post, rel=1e-9, abs=1e-12
-            )
+            assert warm.processed_volume(jid) == pytest.approx(post, rel=1e-9, abs=1e-12)
 
     def test_resume_skips_completed_prefix_jobs(self, cube):
-        from repro.algorithms.clairvoyant import simulate_clairvoyant
-
         # Job 0 completed before the checkpoint; only job 1 remains.
         inst = Instance([Job(0, 0.0, 0.1, 1.0), Job(1, 5.0, 1.0, 1.0)])
-        run = simulate_clairvoyant(inst, cube, resume=(1.0, {}))
-        assert run.schedule.processed_volume(0) == 0.0
-        assert run.schedule.processed_volume(1) == pytest.approx(1.0)
+        sched, _ = simulate_c(inst, cube, resume=(1.0, {}))
+        assert sched.processed_volume(0) == 0.0
+        assert sched.processed_volume(1) == pytest.approx(1.0)
 
     def test_resume_does_not_readmit_checkpointed_jobs(self, cube):
-        from repro.algorithms.clairvoyant import simulate_clairvoyant
-
         inst = Instance([Job(0, 0.0, 2.0, 1.0)])
         # Checkpoint says half of job 0 is left at t=1.
-        run = simulate_clairvoyant(inst, cube, resume=(1.0, {0: 1.0}))
-        assert run.schedule.processed_volume(0) == pytest.approx(1.0)
+        sched, _ = simulate_c(inst, cube, resume=(1.0, {0: 1.0}))
+        assert sched.processed_volume(0) == pytest.approx(1.0)

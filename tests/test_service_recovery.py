@@ -60,14 +60,18 @@ from repro.service.journal import (
     journal_path,
     read_journal,
 )
-from repro.service.models import SessionCreateRequest
+from repro import io
+from repro.core.metrics import evaluate
+from repro.service.models import ReportModel, ScheduleModel, SessionCreateRequest
 from repro.service.sessions import (
     RateLimited,
+    RestoreReport,
     SessionClosed,
     SessionGone,
     SessionManager,
     StoreFull,
     TokenBucket,
+    simulate_session_algorithm,
 )
 from repro.workloads import random_instance
 
@@ -293,6 +297,69 @@ def test_restore_is_bit_identical(tmp_path):
         _feed(twin, "s", batches)
         assert _fingerprint(twin, "s") == live
     assert json.loads(live["/report"][1])["ok"] is True
+
+
+def test_rejected_create_leaves_no_journal(tmp_path):
+    """A create request the service rejects journals nothing, so the next
+    restore has nothing to quarantine."""
+    jdir = tmp_path / "journals"
+    trace = str(tmp_path / "t.jsonl")
+    manager = SessionManager(journal_dir=jdir)
+    with TestClient(create_app(manager)) as client:
+        for body in (
+            {"backend": "bogus"},
+            {"sink": "bogus", "trace_path": trace},
+            {"sink": "rotate:0", "trace_path": trace},
+        ):
+            resp = client.post("/sessions", json_body={"session_id": "s", **body})
+            assert resp.status_code == 422, (body, resp.json())
+    # A request that validates but fails while the session is built (its
+    # trace file cannot be opened) must not leave a journal behind either.
+    missing = str(tmp_path / "no-such-dir" / "t.jsonl")
+    with pytest.raises(OSError):
+        _run(manager.create_session(SessionCreateRequest(session_id="s", trace_path=missing)))
+    assert list(jdir.iterdir()) == []
+    assert _run(SessionManager(journal_dir=jdir).restore()) == RestoreReport()
+
+
+def test_restore_journal_with_legacy_backend_field(tmp_path):
+    """Journals whose ``session_create`` request still carries the retired
+    ``"backend": null`` field restore instead of being quarantined: the
+    session's schedule and metrics equal a direct drive bit for bit, and the
+    rewritten journal differs from the original only by the dropped key."""
+    inst = random_instance(8, 21, density="unit")
+    jdir = tmp_path / "journals"
+    jdir.mkdir()
+    request = SessionCreateRequest(session_id="s", alpha=ALPHA).model_dump(exclude={"jobs"})
+    request["backend"] = None
+    journal = SessionJournal(journal_path(jdir, "s"))
+    journal.append({"record": "session_create", "session": "s", "request": request})
+    for chunk in _batches(inst):
+        journal.append(
+            {
+                "record": "arrival_batch",
+                "session": "s",
+                "jobs": [[c["id"], c["release"], c["volume"], c["density"]] for c in chunk],
+            }
+        )
+    journal.close()
+    original = read_journal(journal_path(jdir, "s"))
+
+    manager = SessionManager(journal_dir=jdir)
+    with TestClient(create_app(manager)) as client:
+        report = client._loop.run_until_complete(manager.restore())
+        assert report.restored == ["s"] and not report.skipped
+        schedule = client.get("/sessions/s/schedule").json()["schedule"]
+        metrics = client.get("/sessions/s/metrics").json()["report"]
+
+    power = PowerLaw(ALPHA)
+    direct = simulate_session_algorithm("NC", inst, power, context=SimulationContext(power))
+    restored = ScheduleModel.model_validate(schedule).to_schedule()
+    assert io.schedule_to_dict(restored) == io.schedule_to_dict(direct)
+    expected = ReportModel.from_report(evaluate(direct, inst, power))
+    assert ReportModel.model_validate(metrics) == expected
+    del original[0]["request"]["backend"]
+    assert read_journal(journal_path(jdir, "s")) == original
 
 
 def test_restore_skips_deleted_sessions(tmp_path):

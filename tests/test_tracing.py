@@ -462,6 +462,40 @@ class TestReplay:
         # And the replayed energy agrees with the recorded golden value.
         assert lemma3[0].rhs == pytest.approx(entry["energy"], rel=1e-9)
 
+    def test_trace_with_retired_backend_selected_line_replays(self, tmp_path):
+        """Traces recorded while kernel backends existed open with a
+        ``backend_selected`` header; they still stream through
+        ``iter_trace`` -> ``build_report`` with Lemma 3/4 holding."""
+        inst = _uniform_instance(n=9, seed=5)
+        power = PowerLaw(ALPHA)
+        path = tmp_path / "legacy.jsonl"
+        with JsonlRecorder(path) as rec:
+            rec.emit(
+                "backend_selected",
+                0.0,
+                "context",
+                backend="numpy",
+                vector_width=0,
+                uses_numba=False,
+                numba_available=False,
+            )
+            context = SimulationContext(power, recorder=rec)
+            context.emit(
+                "run_meta",
+                0.0,
+                "harness",
+                alpha=ALPHA,
+                instance=[[j.job_id, j.release, j.volume, j.density] for j in inst],
+            )
+            simulate_clairvoyant(inst, power, context=context)
+            simulate_nc_uniform(inst, power, context=context)
+        assert next(iter_trace(path)).kind == "backend_selected"
+        report = build_report(iter_trace(path))
+        assert report.order_violations == []
+        for lemma in ("Lemma 3", "Lemma 4"):
+            checks = [c for c in report.checks if c.name.startswith(lemma)]
+            assert checks and checks[0].holds, checks
+
     def test_order_checker_flags_regressions(self):
         rec = MemoryRecorder()
         rec.emit("release", 2.0, "C", job=0)
