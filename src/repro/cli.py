@@ -13,8 +13,9 @@ Commands:
 * ``chaos``        — seeded fault-injection campaign under the supervised
   runtime; re-verifies the paper's guarantees on every surviving run.
   ``--shards`` switches to the shard-kill campaign (workers SIGKILLed
-  mid-shard; recovery + bit-identity + Lemma 20 verified);
-  ``--timeout`` bounds each run's wall clock.
+  mid-shard; recovery + bit-identity + Lemma 20 verified), ``--service``
+  to the service campaign (live servers SIGKILLed, journals damaged);
+  ``--timeout`` bounds each in-process run's wall clock.
 * ``shard``        — run NC-PAR/C-PAR sharded on the supervised worker
   pool and verify the merged report is bit-identical to the serial path.
 * ``serve``        — serve the scheduling API (:mod:`repro.service`) over
@@ -180,12 +181,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--sink", default="plain", metavar="SPEC",
         help="campaign trace sink for --out: plain | gzip | rotate:N",
     )
-    p_ch.add_argument(
+    # One campaign per invocation, and --timeout only for the in-process one.
+    mode = p_ch.add_mutually_exclusive_group()
+    mode.add_argument(
         "--timeout", type=float, default=None,
         help="per-run wall-clock budget in seconds; a run exceeding it is "
-        "abandoned, marked failed (run_timeout event), and the campaign moves on",
+        "abandoned, marked failed (run_timeout event), and the campaign moves "
+        "on. In-process campaign only: not allowed with --shards or --service, "
+        "whose abandoned runs would keep worker pools or live servers running",
     )
-    p_ch.add_argument(
+    mode.add_argument(
         "--shards", action="store_true",
         help="run the shard-kill campaign instead (SIGKILL workers mid-shard, "
         "verify recovery, bit-identity with serial, and Lemma 20/3/4)",
@@ -202,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="durable shard checkpoint directory (--shards); enables the "
         "checkpoint_corruption rotation",
     )
-    p_ch.add_argument(
+    mode.add_argument(
         "--service", action="store_true",
         help="run the service chaos campaign instead: SIGKILL live servers "
         "mid-workload, tear/corrupt journals, evict sessions, inject slow "
@@ -417,31 +422,19 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_chaos(args: argparse.Namespace) -> tuple[str, int]:
     from .runtime.chaos import (
+        FamilyScenario,
+        Scenario,
+        ServiceScenario,
+        ShardScenario,
         format_campaign,
-        format_shard_campaign,
         run_campaign,
-        run_shard_campaign,
     )
 
+    scenario: Scenario
     if args.service:
-        from .runtime.chaos import format_service_campaign, run_service_campaign
-
-        service_report = run_service_campaign(
-            args.seed,
-            args.n,
-            jobs=args.jobs,
-            alpha=args.alpha,
-            out=args.out,
-            sink_spec=args.sink,
-        )
-        text = format_service_campaign(service_report)
-        if args.out:
-            text += f"\n\ntraces written to {args.out}"
-        return text, 0 if service_report.ok else 1
-    if args.shards:
-        shard_report = run_shard_campaign(
-            args.seed,
-            args.n,
+        scenario = ServiceScenario(jobs=args.jobs, alpha=args.alpha)
+    elif args.shards:
+        scenario = ShardScenario(
             jobs=args.jobs,
             alpha=args.alpha,
             machines=args.machines,
@@ -449,19 +442,13 @@ def _cmd_chaos(args: argparse.Namespace) -> tuple[str, int]:
             kills=args.kills,
             shard_hold=args.hold,
             checkpoint_dir=args.checkpoint_dir,
-            out=args.out,
-            sink_spec=args.sink,
         )
-        text = format_shard_campaign(shard_report)
-        if args.out:
-            text += f"\n\ntraces written to {args.out}"
-        return text, 0 if shard_report.ok else 1
+    else:
+        scenario = FamilyScenario(jobs=args.jobs, alpha=args.alpha, machines=args.machines)
     report = run_campaign(
         args.seed,
         args.n,
-        jobs=args.jobs,
-        alpha=args.alpha,
-        machines=args.machines,
+        scenario=scenario,
         out=args.out,
         sink_spec=args.sink,
         run_timeout=args.timeout,

@@ -1,16 +1,17 @@
 """Supervised execution runtime: invariant guards, checkpoint recovery, the
-fault-tolerant worker pool, and chaos campaigns (scalar and sharded)."""
+fault-tolerant worker pool, and chaos campaigns (in-process, sharded and
+service scenarios behind one campaign loop)."""
 
 from .chaos import (
     CampaignReport,
-    RunOutcome,
-    ShardCampaignReport,
-    ShardRunOutcome,
+    FamilyScenario,
+    Outcome,
+    Scenario,
+    ServiceScenario,
+    ShardScenario,
     format_campaign,
-    format_shard_campaign,
     run_campaign,
     run_pair_verified,
-    run_shard_campaign,
 )
 from .pool import PoolPolicy, PoolStats, WorkerPool
 from .supervisor import ALGORITHMS, RecoveryPolicy, SupervisedResult, Supervisor
@@ -18,18 +19,18 @@ from .supervisor import ALGORITHMS, RecoveryPolicy, SupervisedResult, Supervisor
 __all__ = [
     "ALGORITHMS",
     "CampaignReport",
+    "FamilyScenario",
+    "Outcome",
     "PoolPolicy",
     "PoolStats",
     "RecoveryPolicy",
-    "RunOutcome",
-    "ShardCampaignReport",
-    "ShardRunOutcome",
+    "Scenario",
+    "ServiceScenario",
+    "ShardScenario",
     "SupervisedResult",
     "Supervisor",
     "WorkerPool",
     "format_campaign",
-    "format_shard_campaign",
     "run_campaign",
     "run_pair_verified",
-    "run_shard_campaign",
 ]

@@ -1,14 +1,15 @@
 """Seeded chaos campaigns: inject faults, supervise, re-verify the paper.
 
-A campaign (``repro chaos``) runs ``n`` seeded fault scenarios, rotating
-through the algorithm families.  Each run either
+A campaign (``repro chaos``) runs ``n`` seeded runs of one
+:class:`Scenario`.  Each run either
 
 * completes **clean** (no fault fired on its surviving attempt),
 * completes **recovered** (faults fired; the supervisor rolled back and the
-  surviving attempt passes every guard — and for C/NC pair runs, Lemma 3 /
-  Lemma 4 re-verified *from the trace* at ``1e-9``), or
-* **fails structurally** with a :class:`~repro.core.errors.ReproError`
-  naming the fault and the last good checkpoint.
+  surviving attempt passes every guard and every named check — Lemma 3 /
+  Lemma 4 re-verified *from the trace* at ``1e-9``, bit-identity with a
+  clean twin, Lemma 20 dispatch identity), or
+* **fails structurally** with an error naming the fault (and, for
+  supervised runs, the last good checkpoint).
 
 No fourth outcome exists: no hangs, no silent NaN, no negative weights —
 that is the campaign's contract, asserted by ``tests/test_chaos.py``.  The
@@ -17,15 +18,20 @@ exceeds its wall-clock budget is abandoned (a ``run_timeout`` event marks
 it in the trace) and counted as **failed**, so one wedged run cannot wedge
 the campaign.
 
-The shard-kill campaign (:func:`run_shard_campaign`, ``repro chaos
---shards``) is the process-level counterpart: each run executes the
-parallel family *sharded* on a supervised worker pool
-(:mod:`repro.runtime.pool`) while the fault plan SIGKILLs workers
-mid-shard (plus rotating shard hangs and checkpoint corruptions), then
-verifies that every shard was recovered, the merged report is
-**bit-identical** to the serial :class:`~repro.parallel.cluster.ClusterRun`
-path, NC-PAR and C-PAR made identical dispatch decisions (Lemma 20), and
-Lemma 3 / Lemma 4 still replay from the surviving trace at ``1e-9``.
+Three scenarios share the one loop (:func:`run_campaign`), outcome, report
+and formatter:
+
+* :class:`FamilyScenario` (the default) rotates in-process runs through the
+  algorithm families under the :class:`~repro.runtime.supervisor.Supervisor`;
+* :class:`ShardScenario` (``repro chaos --shards``) runs the parallel family
+  *sharded* on a supervised worker pool (:mod:`repro.runtime.pool`) while the
+  fault plan SIGKILLs workers mid-shard, and requires the merged report
+  **bit-identical** to the serial :class:`~repro.parallel.cluster.ClusterRun`
+  path plus Lemma 20 and the Lemma 3/4 replay;
+* :class:`ServiceScenario` (``repro chaos --service``) SIGKILLs live
+  ``repro serve`` processes, damages their journals, evicts sessions and
+  drops connections, and byte-compares every recovery against a twin
+  service that never saw the fault.
 """
 
 from __future__ import annotations
@@ -41,10 +47,11 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, ClassVar, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from ..analysis.trace_report import REL_TOL, TraceReport, build_report
 from ..core.errors import ReproError, ScheduleError
+from ..core.job import Instance
 from ..core.shadow import SimulationContext
 from ..core.tracing import MemoryRecorder, TraceEvent, TraceSink, iter_trace, make_sink
 from ..extensions.bounded_speed import CappedPowerLaw, simulate_clairvoyant_capped
@@ -58,210 +65,269 @@ from ..parallel.nc_par import simulate_nc_par
 from ..parallel.shard import run_sharded
 from ..workloads.random_instances import random_instance
 from .pool import PoolPolicy
-from .supervisor import RecoveryPolicy, Supervisor
+from .supervisor import RecoveryPolicy, SupervisedResult, Supervisor, _replay_component
 
 __all__ = [
-    "RunOutcome",
+    "Outcome",
     "CampaignReport",
-    "ShardRunOutcome",
-    "ShardCampaignReport",
-    "ServiceRunOutcome",
-    "ServiceCampaignReport",
+    "Scenario",
+    "FamilyScenario",
+    "ShardScenario",
+    "ServiceScenario",
     "run_pair_verified",
     "run_campaign",
-    "run_shard_campaign",
-    "run_service_campaign",
-    "format_service_campaign",
+    "format_campaign",
     "iter_campaign_runs",
     "RunVerification",
     "verify_campaign_trace",
-    "format_campaign",
-    "format_shard_campaign",
 ]
 
 #: Tolerance for trace-replayed Lemma 3 / Lemma 4 on pair runs.
 PAIR_REL_TOL = 1e-9
 
-#: Family rotation of a campaign (index ``i % len``): the single-machine NC
-#: pair twice (it carries the lemma re-verification), the capped pair, the
-#: engine-driven general-density family, and the parallel family.
-_ROTATION = ("NC_PAIR", "NC_PAIR", "CAPPED_PAIR", "NC_GENERAL", "NC_PAR")
-
-#: Fault pools per family: pair runs get reveal/release faults (their lies
-#: surface as lemma failures); the engine family gets the numeric faults;
-#: the parallel family gets machine failures.
-_POOLS = {
-    "NC_PAIR": ("oracle_lie", "release_jitter", "release_duplicate", "release_drop"),
-    "CAPPED_PAIR": ("oracle_lie", "release_drop"),
-    "NC_GENERAL": ("power_transient", "power_nan", "step_corruption", "oracle_lie"),
-    "NC_PAR": ("machine_failure",),
-}
+#: One table column: ``(header, format spec, key)``; the key names an
+#: :class:`Outcome` field, one of the scenario's checks, or one of its counts.
+Column = tuple[str, str, str]
 
 
 @dataclass(frozen=True)
-class RunOutcome:
-    """One chaos run's verdict."""
+class Outcome:
+    """One chaos run's verdict.
+
+    ``checks`` maps each of the scenario's named checks to ``True`` /
+    ``False``, or ``None`` when the run had nothing to check (a failed run,
+    a family without a pair replay, a quarantined session); ``counts`` maps
+    each named counter to its tally for this run.
+    """
 
     run_id: int
     family: str
     seed: int
     plan: str
     status: str  # "clean" | "recovered" | "failed"
-    attempts: int
     faults_fired: int
-    #: pair runs: did Lemma 3/4 replay hold at PAIR_REL_TOL (None otherwise)
-    lemmas_ok: bool | None
     error: str | None
     checkpoint: str | None
     n_events: int
+    checks: Mapping[str, bool | None]
+    counts: Mapping[str, int]
+
+
+class Scenario(Protocol):
+    """What a campaign runs: the per-run work and how the table shows it.
+
+    ``plan`` names run ``run_id`` without running it (the loop needs the
+    name for a run it abandons); ``run`` executes, verifies and classifies
+    the run, returning its :class:`Outcome` — carrying exactly the
+    scenario's ``checks`` and ``counts`` keys — and its trace events.  A
+    structured failure is a ``failed`` outcome, never an exception.
+
+    ``heading`` is a :meth:`str.format` template over ``seed``,
+    ``n_runs``, ``clean``, ``recovered``, ``failed``, ``survived`` and
+    every count summed over the runs; ``detail`` is one over the outcome's
+    fields, shown when the run has no error; ``verdicts`` is the
+    ``(ok, failed)`` closing line.
+    """
+
+    @property
+    def heading(self) -> str: ...
+    @property
+    def columns(self) -> tuple[Column, ...]: ...
+    @property
+    def detail(self) -> str: ...
+    @property
+    def verdicts(self) -> tuple[str, str]: ...
+    @property
+    def checks(self) -> tuple[str, ...]: ...
+    @property
+    def counts(self) -> tuple[str, ...]: ...
+
+    def plan(self, run_id: int, seed: int) -> tuple[str, str]:
+        """``(family, plan description)`` of run ``run_id``."""
+        ...
+
+    def run(self, run_id: int, seed: int) -> tuple[Outcome, Sequence[TraceEvent]]:
+        """Execute, verify and classify run ``run_id``."""
+        ...
 
 
 @dataclass(frozen=True)
 class CampaignReport:
     seed: int
     n_runs: int
-    outcomes: tuple[RunOutcome, ...]
+    outcomes: tuple[Outcome, ...]
+    scenario: Scenario
 
     @property
     def n_clean(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == "clean")
+        return sum(o.status == "clean" for o in self.outcomes)
 
     @property
     def n_recovered(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == "recovered")
+        return sum(o.status == "recovered" for o in self.outcomes)
 
     @property
     def n_failed(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == "failed")
+        return sum(o.status == "failed" for o in self.outcomes)
+
+    def total(self, count: str) -> int:
+        """One named count summed over every run."""
+        return sum(o.counts.get(count, 0) for o in self.outcomes)
 
     @property
     def ok(self) -> bool:
-        """Every run survived (clean or recovered) with its lemmas intact;
-        structured failures count against the campaign verdict even though
-        they satisfy the no-silent-failure contract."""
+        """Every run survived (clean or recovered) and no check failed.
+
+        Structured failures count against the campaign even though they
+        satisfy the no-silent-failure contract.  A ``None`` check is not a
+        failure: it marks a run with nothing to check.
+        """
         return all(
-            o.status in ("clean", "recovered") and o.lemmas_ok is not False
+            o.status in ("clean", "recovered") and False not in o.checks.values()
             for o in self.outcomes
         )
-
-
-def _meta_payload(instance, alpha: float) -> dict:
-    return {
-        "instance": [[j.job_id, j.release, j.volume, j.density] for j in instance],
-        "alpha": alpha,
-    }
-
-
-def run_pair_verified(
-    instance,
-    power: PowerLaw,
-    plan: FaultPlan,
-    recorder: MemoryRecorder,
-    *,
-    capped: bool = False,
-    policy: RecoveryPolicy | None = None,
-) -> tuple[bool, object]:
-    """Run the (C, NC) pair traced, NC under supervision, and re-verify
-    Lemma 3 / Lemma 4 from the trace at :data:`PAIR_REL_TOL`.
-
-    A lie that slips past the local guards (a scaled volume reveal, a
-    jittered release) produces a *valid-looking* NC run whose lemma replay
-    fails against C; the harness then emits ``guard_violation`` + ``retry``
-    and re-runs NC — the injector's budgets are spent, so the retried
-    attempt is clean — and re-verifies.  Returns ``(lemmas_ok, result)``.
-    """
-    context = SimulationContext(power, recorder=recorder)
-    context.emit("run_meta", 0.0, "chaos", **_meta_payload(instance, power.alpha))
-    supervisor = Supervisor(power, plan=plan, context=context, policy=policy)
-    nc_name = "NC_CAPPED" if capped else "NC"
-    if capped:
-        assert isinstance(power, CappedPowerLaw)
-        simulate_clairvoyant_capped(instance, power, context=context)
-    else:
-        simulate_clairvoyant(instance, power, context=context)
-    result = supervisor.run(nc_name, instance)
-
-    def _lemmas_hold() -> bool:
-        try:
-            report = build_report(recorder.events, rel_tol=PAIR_REL_TOL)
-        except ScheduleError:
-            # A phantom/dropped job makes the replayed NC schedule
-            # inconsistent with the instance — a lemma failure in disguise.
-            return False
-        return bool(report.checks) and all(c.holds for c in report.checks)
-
-    ok = _lemmas_hold()
-    if not ok:
-        # The surviving attempt is self-consistent but wrong against C:
-        # escalate to a pair-level retry (fault budgets are spent by now).
-        context.emit(
-            "guard_violation", 0.0, "supervisor",
-            guard="lemma_replay", algorithm=nc_name,
-        )
-        context.emit("retry", 0.0, "NC_capped" if capped else "NC", reason="lemma_replay")
-        result = supervisor.run(nc_name, instance)
-        ok = _lemmas_hold()
-    return ok, result
 
 
 def run_campaign(
     seed: int,
     n_runs: int,
     *,
-    jobs: int = 8,
-    alpha: float = 3.0,
-    machines: int = 3,
+    scenario: Scenario | None = None,
     out: str | Path | None = None,
     sink_spec: str = "plain",
-    policy: RecoveryPolicy | None = None,
     run_timeout: float | None = None,
 ) -> CampaignReport:
-    """Run a seeded campaign of ``n_runs`` fault scenarios.
+    """Run a seeded campaign of ``n_runs`` runs of ``scenario``
+    (default: :class:`FamilyScenario`); run ``i`` gets the derived seed
+    ``seed * 1_000_003 + i``.
 
     With ``out`` given, every run's full trace (including ``fault_injected``
     and ``recovery`` events) is appended to one JSONL sink — plain, gzip, or
     rotating segments per ``sink_spec`` (see
-    :func:`~repro.core.tracing.make_sink`); the per-run ``run_meta`` header
-    carries ``run_id``/``family``/``plan`` so the file partitions cleanly on
-    re-read (:func:`iter_campaign_runs`).
+    :func:`~repro.core.tracing.make_sink`) — behind a ``campaign`` header
+    carrying ``run_id``/``family``/``seed``/``plan``/``status``, so the file
+    partitions cleanly on re-read (:func:`iter_campaign_runs`).
 
     ``run_timeout`` (seconds) bounds each run's wall clock.  A run that
     exceeds it is abandoned where it stands, marked **failed** with a
     ``run_timeout`` event in its trace slot, and the campaign moves on —
     the timed-out run's thread can never touch the sink, because all sink
-    writes happen here after the verdict.
+    writes happen here after the verdict.  Python threads cannot be
+    preempted, so the abandoned thread keeps running until it finishes or
+    the process exits: use a budget only with scenarios whose runs own no
+    child processes or worker pools (the CLI allows ``--timeout`` only for
+    the in-process campaign).
     """
-    outcomes: list[RunOutcome] = []
+    scenario = FamilyScenario() if scenario is None else scenario
+    outcomes: list[Outcome] = []
     sink = make_sink(out, sink_spec) if out is not None else None
     try:
         for i in range(n_runs):
-            derived = seed * 1_000_003 + i
-            family = _ROTATION[i % len(_ROTATION)]
-            outcome, events = _execute_run(
-                i, family, derived, jobs=jobs, alpha=alpha,
-                machines=machines, policy=policy, run_timeout=run_timeout,
-            )
+            outcome, events = _execute_run(scenario, i, seed * 1_000_003 + i, run_timeout)
             outcomes.append(outcome)
             if sink is not None:
-                header = {
-                    "run_id": outcome.run_id,
-                    "family": outcome.family,
-                    "seed": outcome.seed,
-                    "plan": outcome.plan,
-                    "status": outcome.status,
-                }
-                _write_run(sink, header, events)
+                _write_run(sink, outcome, events)
                 sink.flush()
     finally:
         if sink is not None:
             sink.close()
-    return CampaignReport(seed=seed, n_runs=n_runs, outcomes=tuple(outcomes))
+    return CampaignReport(seed=seed, n_runs=n_runs, outcomes=tuple(outcomes), scenario=scenario)
 
 
-def _write_run(sink: TraceSink, header: dict[str, Any], events: Iterable[TraceEvent]) -> None:
-    """One run's slot in a campaign trace: a ``campaign`` header, then the
-    run's own events (whose first event is the run's ``run_meta`` with the
-    instance)."""
+def _execute_run(
+    scenario: Scenario, run_id: int, seed: int, run_timeout: float | None
+) -> tuple[Outcome, Sequence[TraceEvent]]:
+    """Run one scenario run, optionally under a wall-clock budget; a
+    timed-out run's results and trace are never read — the campaign's
+    record of it is the ``run_timeout`` failure built here."""
+    if run_timeout is None:
+        return scenario.run(run_id, seed)
+
+    box: list[tuple[Outcome, Sequence[TraceEvent]] | BaseException] = []
+
+    def target() -> None:
+        try:
+            box.append(scenario.run(run_id, seed))
+        except BaseException as err:  # noqa: BLE001 — re-raised below
+            box.append(err)
+
+    thread = threading.Thread(target=target, daemon=True, name=f"chaos-run-{run_id}")
+    thread.start()
+    thread.join(run_timeout)
+    if thread.is_alive() or not box:
+        family, plan = scenario.plan(run_id, seed)
+        rec = MemoryRecorder()
+        rec.emit(
+            "run_timeout", 0.0, "chaos",
+            run_id=run_id, family=family, timeout_s=float(run_timeout),
+        )
+        outcome = Outcome(
+            run_id=run_id,
+            family=family,
+            seed=seed,
+            plan=plan,
+            status="failed",
+            faults_fired=0,
+            error=f"RunTimeout: run exceeded {run_timeout:.3g}s wall clock",
+            checkpoint="run_timeout",
+            n_events=len(rec.events),
+            checks=dict.fromkeys(scenario.checks),
+            counts=dict.fromkeys(scenario.counts, 0),
+        )
+        return outcome, rec.events
+    result = box[0]
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
+def format_campaign(report: CampaignReport) -> str:
+    """The campaign as its scenario's table: heading, one row per run, and
+    the verdict line."""
+    sc = report.scenario
+    heading = sc.heading.format(
+        seed=report.seed,
+        n_runs=report.n_runs,
+        clean=report.n_clean,
+        recovered=report.n_recovered,
+        failed=report.n_failed,
+        survived=report.n_runs - report.n_failed,
+        **{name: report.total(name) for name in sc.counts},
+    )
+    header = " ".join(format(title, spec) for title, spec, _ in sc.columns)
+    lines = [heading, "", f"{'run':>4} {header}  detail"]
+    for o in report.outcomes:
+        cells = " ".join(format(_cell(sc, o, key), spec) for _, spec, key in sc.columns)
+        lines.append(f"{o.run_id:>4} {cells}  {o.error or sc.detail.format_map(vars(o))}")
+    lines += ["", sc.verdicts[0] if report.ok else sc.verdicts[1]]
+    return "\n".join(lines)
+
+
+def _cell(scenario: Scenario, outcome: Outcome, key: str) -> object:
+    if key in scenario.checks:
+        flag = outcome.checks.get(key)
+        return "-" if flag is None else ("PASS" if flag else "FAIL")
+    if key in scenario.counts:
+        return outcome.counts.get(key, 0)
+    return getattr(outcome, key)
+
+
+def _failure(err: ReproError) -> tuple[str, str | None]:
+    """``(error, checkpoint)`` of a structured failure."""
+    checkpoint = err.context.get("checkpoint")
+    return f"{type(err).__name__}: {err}", str(checkpoint) if checkpoint else None
+
+
+def _write_run(sink: TraceSink, outcome: Outcome, events: Iterable[TraceEvent]) -> None:
+    """One run's slot in a campaign trace: a ``campaign`` header naming the
+    run, then the run's own events (whose first event is its ``run_meta``)."""
+    header = {
+        "run_id": outcome.run_id,
+        "family": outcome.family,
+        "seed": outcome.seed,
+        "plan": outcome.plan,
+        "status": outcome.status,
+    }
     header_event = TraceEvent(
         kind="run_meta", sim_time=0.0, wall_time=0.0, component="campaign", payload=header
     )
@@ -362,446 +428,313 @@ def verify_campaign_trace(
     return results
 
 
-def _campaign_plan(family: str, derived_seed: int, *, jobs: int, machines: int) -> FaultPlan:
-    n = jobs if family != "NC_GENERAL" else max(3, jobs // 2)
-    return generate_plan(
-        derived_seed,
-        n_faults=1,
-        kinds=_POOLS[family],
-        n_jobs=n,
-        machines=machines if family == "NC_PAR" else None,
-    )
+# -- in-process families ------------------------------------------------------
 
 
-def _execute_run(
-    run_id: int,
-    family: str,
-    derived_seed: int,
+#: Family rotation of a campaign (index ``i % len``): the single-machine NC
+#: pair twice (it carries the lemma re-verification), the capped pair, the
+#: engine-driven general-density family, and the parallel family.
+_ROTATION = ("NC_PAIR", "NC_PAIR", "CAPPED_PAIR", "NC_GENERAL", "NC_PAR")
+
+#: Fault pools per family: pair runs get reveal/release faults (their lies
+#: surface as lemma failures); the engine family gets the numeric faults;
+#: the parallel family gets machine failures.
+_POOLS = {
+    "NC_PAIR": ("oracle_lie", "release_jitter", "release_duplicate", "release_drop"),
+    "CAPPED_PAIR": ("oracle_lie", "release_drop"),
+    "NC_GENERAL": ("power_transient", "power_nan", "step_corruption", "oracle_lie"),
+    "NC_PAR": ("machine_failure",),
+}
+
+
+def _meta_payload(instance: Instance, alpha: float) -> dict[str, Any]:
+    return {
+        "instance": [[j.job_id, j.release, j.volume, j.density] for j in instance],
+        "alpha": alpha,
+    }
+
+
+def _lemmas_hold(events: Iterable[TraceEvent]) -> bool:
+    """Lemma 3 / Lemma 4 replayed from a run's trace at :data:`PAIR_REL_TOL`."""
+    try:
+        report = build_report(events, rel_tol=PAIR_REL_TOL)
+    except ScheduleError:
+        # A phantom/dropped job makes the replayed NC schedule
+        # inconsistent with the instance — a lemma failure in disguise.
+        return False
+    return bool(report.checks) and all(c.holds for c in report.checks)
+
+
+def run_pair_verified(
+    instance: Instance,
+    power: PowerLaw,
+    plan: FaultPlan,
+    recorder: MemoryRecorder,
     *,
-    jobs: int,
-    alpha: float,
-    machines: int,
-    policy: RecoveryPolicy | None,
-    run_timeout: float | None,
-) -> tuple[RunOutcome, list[TraceEvent]]:
-    """Run one scenario, optionally under a wall-clock budget.
+    capped: bool = False,
+    policy: RecoveryPolicy | None = None,
+) -> tuple[bool, SupervisedResult]:
+    """Run the (C, NC) pair traced, NC under supervision, and re-verify
+    Lemma 3 / Lemma 4 from the trace at :data:`PAIR_REL_TOL`.
 
-    Python threads cannot be preempted, so a timed-out run is *abandoned*:
-    its daemon thread keeps whatever it was doing until process exit, but
-    its results and trace are never read — the campaign's record of the run
-    is the synthesized ``run_timeout`` failure built here.
+    A lie that slips past the local guards (a scaled volume reveal, a
+    jittered release) produces a *valid-looking* NC run whose lemma replay
+    fails against C; the harness then emits ``guard_violation`` + ``retry``
+    and re-runs NC — the injector's budgets are spent, so the retried
+    attempt is clean — and re-verifies.  Returns ``(lemmas_ok, result)``.
     """
-    if run_timeout is None:
-        return _run_one(
-            run_id, family, derived_seed,
-            jobs=jobs, alpha=alpha, machines=machines, policy=policy,
+    context = SimulationContext(power, recorder=recorder)
+    context.emit("run_meta", 0.0, "chaos", **_meta_payload(instance, power.alpha))
+    supervisor = Supervisor(power, plan=plan, context=context, policy=policy)
+    nc_name = "NC_CAPPED" if capped else "NC"
+    if capped:
+        assert isinstance(power, CappedPowerLaw)
+        simulate_clairvoyant_capped(instance, power, context=context)
+    else:
+        simulate_clairvoyant(instance, power, context=context)
+    result = supervisor.run(nc_name, instance)
+    ok = _lemmas_hold(recorder.events)
+    if not ok:
+        # The surviving attempt is self-consistent but wrong against C:
+        # escalate to a pair-level retry (fault budgets are spent by now).
+        context.emit(
+            "guard_violation", 0.0, "supervisor",
+            guard="lemma_replay", algorithm=nc_name,
         )
+        context.emit("retry", 0.0, _replay_component(nc_name), reason="lemma_replay")
+        result = supervisor.run(nc_name, instance)
+        ok = _lemmas_hold(recorder.events)
+    return ok, result
 
-    box: list = []
 
-    def target() -> None:
+@dataclass(frozen=True)
+class FamilyScenario:
+    """In-process runs rotating through the algorithm families, one seeded
+    fault each, under the supervisor (``repro chaos``).  Pair runs carry
+    the ``lemmas`` check: Lemma 3/4 replayed from the surviving trace."""
+
+    jobs: int = 8
+    alpha: float = 3.0
+    machines: int = 3
+    policy: RecoveryPolicy | None = None
+
+    heading: ClassVar[str] = (
+        "chaos campaign: seed={seed}, {n_runs} runs — "
+        "{clean} clean, {recovered} recovered, {failed} failed"
+    )
+    columns: ClassVar[tuple[Column, ...]] = (
+        ("family", "<12", "family"),
+        ("status", "<10", "status"),
+        ("attempts", ">8", "attempts"),
+        ("faults", ">6", "faults_fired"),
+        ("lemmas", ">7", "lemmas"),
+    )
+    detail: ClassVar[str] = "{plan}"
+    verdicts: ClassVar[tuple[str, str]] = (
+        "CAMPAIGN OK: every run survived with guarantees intact",
+        "CAMPAIGN FAILED: at least one run failed or broke a replayed lemma",
+    )
+    checks: ClassVar[tuple[str, ...]] = ("lemmas",)
+    counts: ClassVar[tuple[str, ...]] = ("attempts",)
+
+    def _size(self, family: str) -> int:
+        return self.jobs if family != "NC_GENERAL" else max(3, self.jobs // 2)
+
+    def _fault_plan(self, run_id: int, seed: int) -> tuple[str, FaultPlan]:
+        family = _ROTATION[run_id % len(_ROTATION)]
+        plan = generate_plan(
+            seed,
+            n_faults=1,
+            kinds=_POOLS[family],
+            n_jobs=self._size(family),
+            machines=self.machines if family == "NC_PAR" else None,
+        )
+        return family, plan
+
+    def plan(self, run_id: int, seed: int) -> tuple[str, str]:
+        family, plan = self._fault_plan(run_id, seed)
+        return family, plan.describe()
+
+    def run(self, run_id: int, seed: int) -> tuple[Outcome, Sequence[TraceEvent]]:
+        family, plan = self._fault_plan(run_id, seed)
+        recorder = MemoryRecorder()
+        instance = random_instance(self._size(family), seed=seed, volume="uniform")
+        lemmas: bool | None = None
+        status, attempts, faults_fired = "failed", 0, 0
+        error: str | None = None
+        checkpoint: str | None = None
         try:
-            box.append(
-                _run_one(
-                    run_id, family, derived_seed,
-                    jobs=jobs, alpha=alpha, machines=machines, policy=policy,
+            if family in ("NC_PAIR", "CAPPED_PAIR"):
+                capped = family == "CAPPED_PAIR"
+                power = CappedPowerLaw(self.alpha, s_max=2.5) if capped else PowerLaw(self.alpha)
+                lemmas, result = run_pair_verified(
+                    instance, power, plan, recorder, capped=capped, policy=self.policy
                 )
-            )
-        except BaseException as err:  # noqa: BLE001 — surfaced as a failed run
-            box.append(err)
-
-    thread = threading.Thread(target=target, daemon=True, name=f"chaos-run-{run_id}")
-    thread.start()
-    thread.join(run_timeout)
-    if thread.is_alive() or not box:
-        plan = _campaign_plan(family, derived_seed, jobs=jobs, machines=machines)
-        rec = MemoryRecorder()
-        rec.emit(
-            "run_timeout", 0.0, "chaos",
-            run_id=run_id, family=family, timeout_s=float(run_timeout),
-        )
-        outcome = RunOutcome(
+            else:
+                power = PowerLaw(self.alpha)
+                context = SimulationContext(power, recorder=recorder)
+                context.emit("run_meta", 0.0, "chaos", **_meta_payload(instance, self.alpha))
+                supervisor = Supervisor(power, plan=plan, context=context, policy=self.policy)
+                # NC_GENERAL integrates coarsely; 1e-2 is the supervisor's default.
+                result = supervisor.run(
+                    family, instance, machines=self.machines,
+                    max_step=5e-2 if family == "NC_GENERAL" else 1e-2,
+                )
+            attempts, faults_fired = result.attempts, len(result.faults)
+            status = "recovered" if (result.recovered or result.faults) else "clean"
+        except ReproError as err:
+            # Structured terminal failure: the fault and checkpoint are named.
+            error, checkpoint = _failure(err)
+            tried = err.context.get("attempts")
+            attempts = tried if isinstance(tried, int) else 0
+        outcome = Outcome(
             run_id=run_id,
             family=family,
-            seed=derived_seed,
+            seed=seed,
             plan=plan.describe(),
-            status="failed",
-            attempts=0,
-            faults_fired=0,
-            lemmas_ok=None,
-            error=f"RunTimeout: run exceeded {run_timeout:.3g}s wall clock",
-            checkpoint="run_timeout",
-            n_events=len(rec.events),
+            status=status,
+            faults_fired=faults_fired,
+            error=error,
+            checkpoint=checkpoint,
+            n_events=len(recorder.events),
+            checks={"lemmas": lemmas},
+            counts={"attempts": attempts},
         )
-        return outcome, rec.events
-    if isinstance(box[0], BaseException):
-        raise box[0]
-    return box[0]
-
-
-def _run_one(
-    run_id: int,
-    family: str,
-    derived_seed: int,
-    *,
-    jobs: int,
-    alpha: float,
-    machines: int,
-    policy: RecoveryPolicy | None,
-) -> tuple[RunOutcome, list[TraceEvent]]:
-    recorder = MemoryRecorder()
-    n = jobs if family != "NC_GENERAL" else max(3, jobs // 2)
-    plan = _campaign_plan(family, derived_seed, jobs=jobs, machines=machines)
-    instance = random_instance(n, seed=derived_seed, volume="uniform")
-    lemmas_ok: bool | None = None
-    status = "failed"
-    attempts = 0
-    error = None
-    checkpoint = None
-    faults_fired = 0
-    try:
-        if family == "NC_PAIR":
-            power = PowerLaw(alpha)
-            ok, result = run_pair_verified(instance, power, plan, recorder, policy=policy)
-            lemmas_ok, attempts = ok, result.attempts
-            faults_fired = len(result.faults)
-            status = "recovered" if (result.recovered or result.faults) else "clean"
-        elif family == "CAPPED_PAIR":
-            power = CappedPowerLaw(alpha, s_max=2.5)
-            ok, result = run_pair_verified(
-                instance, power, plan, recorder, capped=True, policy=policy
-            )
-            lemmas_ok, attempts = ok, result.attempts
-            faults_fired = len(result.faults)
-            status = "recovered" if (result.recovered or result.faults) else "clean"
-        elif family == "NC_GENERAL":
-            power = PowerLaw(alpha)
-            context = SimulationContext(power, recorder=recorder)
-            context.emit("run_meta", 0.0, "chaos", **_meta_payload(instance, alpha))
-            supervisor = Supervisor(power, plan=plan, context=context, policy=policy)
-            result = supervisor.run("NC_GENERAL", instance, max_step=5e-2)
-            attempts = result.attempts
-            faults_fired = len(result.faults)
-            status = "recovered" if (result.recovered or result.faults) else "clean"
-        else:  # NC_PAR
-            power = PowerLaw(alpha)
-            context = SimulationContext(power, recorder=recorder)
-            context.emit("run_meta", 0.0, "chaos", **_meta_payload(instance, alpha))
-            supervisor = Supervisor(power, plan=plan, context=context, policy=policy)
-            result = supervisor.run("NC_PAR", instance, machines=machines)
-            attempts = result.attempts
-            faults_fired = len(result.faults)
-            status = "recovered" if (result.recovered or result.faults) else "clean"
-    except ReproError as err:
-        # Structured terminal failure: the fault and checkpoint are named.
-        error = f"{type(err).__name__}: {err}"
-        checkpoint = (
-            str(err.context.get("checkpoint")) if err.context.get("checkpoint") else None
-        )
-        attempts = int(err.context.get("attempts", 0) or 0)
-        status = "failed"
-    outcome = RunOutcome(
-        run_id=run_id,
-        family=family,
-        seed=derived_seed,
-        plan=plan.describe(),
-        status=status,
-        attempts=attempts,
-        faults_fired=faults_fired,
-        lemmas_ok=lemmas_ok,
-        error=error,
-        checkpoint=checkpoint,
-        n_events=len(recorder.events),
-    )
-    return outcome, recorder.events
-
-
-def format_campaign(report: CampaignReport) -> str:
-    lines = [
-        f"chaos campaign: seed={report.seed}, {report.n_runs} runs — "
-        f"{report.n_clean} clean, {report.n_recovered} recovered, "
-        f"{report.n_failed} failed"
-    ]
-    lines.append("")
-    lines.append(
-        f"{'run':>4} {'family':<12} {'status':<10} {'attempts':>8} "
-        f"{'faults':>6} {'lemmas':>7}  detail"
-    )
-    for o in report.outcomes:
-        lemmas = "-" if o.lemmas_ok is None else ("PASS" if o.lemmas_ok else "FAIL")
-        detail = o.error if o.error else o.plan
-        lines.append(
-            f"{o.run_id:>4} {o.family:<12} {o.status:<10} {o.attempts:>8} "
-            f"{o.faults_fired:>6} {lemmas:>7}  {detail}"
-        )
-    lines.append("")
-    lines.append(
-        "CAMPAIGN OK: every run survived with guarantees intact"
-        if report.ok
-        else "CAMPAIGN FAILED: at least one run failed or broke a replayed lemma"
-    )
-    return "\n".join(lines)
+        return outcome, recorder.events
 
 
 # -- the shard-kill campaign --------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ShardRunOutcome:
-    """One shard-kill run's verdict.
-
-    ``bit_identical`` is exact equality of the sharded merged report with
-    the serial ``ClusterRun.report()`` (no tolerance); ``dispatch_identical``
-    is Lemma 20's NC-PAR == C-PAR assignment check; ``lemmas_ok`` is the
-    Lemma 3/4 replay of the traced single-machine pair on the same instance.
-    """
-
-    run_id: int
-    seed: int
-    plan: str
-    status: str  # "clean" | "recovered" | "failed"
-    shards: int
-    workers_killed: int
-    workers_lost: int
-    redispatched: int
-    serial_fallback: int
-    degraded: bool
-    resumed: int
-    faults_fired: int
-    bit_identical: bool | None
-    dispatch_identical: bool | None
-    lemmas_ok: bool | None
-    error: str | None
-    n_events: int
-
-
-@dataclass(frozen=True)
-class ShardCampaignReport:
-    seed: int
-    n_runs: int
-    outcomes: tuple[ShardRunOutcome, ...]
-
-    @property
-    def n_failed(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == "failed")
-
-    @property
-    def total_workers_killed(self) -> int:
-        return sum(o.workers_killed for o in self.outcomes)
-
-    @property
-    def ok(self) -> bool:
-        """Every run survived, every sharded report is bit-identical to the
-        serial path, dispatch identity (Lemma 20) held, and the Lemma 3/4
-        replay passed — the acceptance contract of the sharded layer."""
-        return all(
-            o.status in ("clean", "recovered")
-            and o.bit_identical is True
-            and o.dispatch_identical is True
-            and o.lemmas_ok is not False
-            for o in self.outcomes
-        )
-
-
-def run_shard_campaign(
-    seed: int,
-    n_runs: int,
-    *,
-    jobs: int = 16,
-    alpha: float = 3.0,
-    machines: int = 4,
-    workers: int = 2,
-    kills: int = 2,
-    shard_hold: float = 0.15,
-    checkpoint_dir: str | Path | None = None,
-    out: str | Path | None = None,
-    sink_spec: str = "plain",
-) -> ShardCampaignReport:
-    """Run ``n_runs`` shard-kill scenarios against the supervised pool.
+class ShardScenario:
+    """Shard-kill runs against the supervised pool (``repro chaos --shards``).
 
     Every run SIGKILLs ``kills`` workers mid-shard (the ``shard_hold``
     synthetic shard duration guarantees the kill lands while the shard is
     computing, so work is genuinely lost and re-dispatched); every third
     run also wedges a shard (``shard_hang``), and — when ``checkpoint_dir``
     is given — every fourth run corrupts a durable checkpoint.  After the
-    pool recovers, the run verifies the three-part contract recorded in
-    :class:`ShardRunOutcome`.
+    pool recovers the run checks ``bitid`` (exact equality of the merged
+    report with the serial ``ClusterRun.report()``, no tolerance), ``L20``
+    (NC-PAR and C-PAR made identical assignments) and ``lemmas`` (the Lemma
+    3/4 replay of the traced single-machine pair on the same instance).
     """
-    outcomes: list[ShardRunOutcome] = []
-    sink = make_sink(out, sink_spec) if out is not None else None
-    try:
-        for i in range(n_runs):
-            derived = seed * 1_000_003 + i
-            outcome, events = _run_one_sharded(
-                i, derived, jobs=jobs, alpha=alpha, machines=machines,
-                workers=workers, kills=kills, shard_hold=shard_hold,
-                checkpoint_dir=checkpoint_dir,
-            )
-            outcomes.append(outcome)
-            if sink is not None:
-                header = {
-                    "run_id": outcome.run_id,
-                    "family": "NC_PAR_SHARDED",
-                    "seed": outcome.seed,
-                    "plan": outcome.plan,
-                    "status": outcome.status,
-                }
-                _write_run(sink, header, events)
-                sink.flush()
-    finally:
-        if sink is not None:
-            sink.close()
-    return ShardCampaignReport(seed=seed, n_runs=n_runs, outcomes=tuple(outcomes))
 
+    jobs: int = 16
+    alpha: float = 3.0
+    machines: int = 4
+    workers: int = 2
+    kills: int = 2
+    shard_hold: float = 0.15
+    checkpoint_dir: str | Path | None = None
 
-def _shard_plan(
-    run_id: int,
-    derived_seed: int,
-    *,
-    kills: int,
-    with_checkpoints: bool,
-) -> FaultPlan:
-    """The deterministic process-fault plan of one shard-kill run.
-
-    The ``kills`` worker kills target dispatch ordinals ``1..kills`` —
-    the first ``kills`` shards handed out, which land on distinct workers
-    while every worker is still busy with its first shard.
-    """
-    faults: list[FaultSpec] = [
-        FaultSpec(kind="worker_kill", after_calls=k + 1) for k in range(kills)
-    ]
-    if run_id % 3 == 2:
-        faults.append(FaultSpec(kind="shard_hang", after_calls=kills + 1))
-    if with_checkpoints and run_id % 4 == 3:
-        faults.append(FaultSpec(kind="checkpoint_corruption", after_calls=1))
-    return FaultPlan(seed=derived_seed, faults=tuple(faults))
-
-
-def _run_one_sharded(
-    run_id: int,
-    derived_seed: int,
-    *,
-    jobs: int,
-    alpha: float,
-    machines: int,
-    workers: int,
-    kills: int,
-    shard_hold: float,
-    checkpoint_dir: str | Path | None,
-) -> tuple[ShardRunOutcome, list[TraceEvent]]:
-    recorder = MemoryRecorder()
-    power = PowerLaw(alpha)
-    instance = random_instance(jobs, seed=derived_seed, volume="uniform")
-    plan = _shard_plan(
-        run_id, derived_seed, kills=kills, with_checkpoints=checkpoint_dir is not None
+    heading: ClassVar[str] = (
+        "shard-kill campaign: seed={seed}, {n_runs} runs — "
+        "{survived} survived, {failed} failed, {killed} workers SIGKILLed"
     )
-    context = SimulationContext(power, recorder=recorder)
-    context.emit("run_meta", 0.0, "chaos", **_meta_payload(instance, alpha))
-    injector = FaultInjector(plan, context)
-
-    bit_identical: bool | None = None
-    dispatch_identical: bool | None = None
-    lemmas_ok: bool | None = None
-    status = "failed"
-    error = None
-    shards = 0
-    resumed = 0
-    workers_lost = 0
-    redispatched = 0
-    serial_fallback = 0
-    degraded = False
-    try:
-        # The traced single-machine pair on the same instance: the material
-        # the Lemma 3/4 replay audits.
-        simulate_clairvoyant(instance, power, context=context)
-        simulate_nc_uniform(instance, power, context=context)
-
-        # Serial references, computed without faults or tracing.
-        serial_report = simulate_nc_par(instance, power, machines).report()
-        c_par_assignments = simulate_c_par(instance, power, machines).assignments
-
-        policy = PoolPolicy(
-            workers=workers,
-            heartbeat_interval=0.05,
-            heartbeat_timeout=10.0,
-            shard_timeout=max(2.0, shard_hold * 10.0),
-            poll_interval=0.01,
-        )
-        result = run_sharded(
-            instance, power, machines,
-            context=context, injector=injector, policy=policy,
-            checkpoint_dir=checkpoint_dir, shard_hold=shard_hold,
-        )
-        shards = len(result.shards)
-        resumed = result.resumed
-        if result.stats is not None:
-            workers_lost = result.stats.workers_lost
-            redispatched = result.stats.redispatched
-            serial_fallback = result.stats.serial_fallback
-            degraded = result.stats.degraded
-        bit_identical = result.report == serial_report
-        dispatch_identical = result.cluster.assignments == c_par_assignments
-
-        try:
-            report = build_report(recorder.events, rel_tol=PAIR_REL_TOL)
-            lemmas_ok = bool(report.checks) and all(c.holds for c in report.checks)
-        except ScheduleError:
-            lemmas_ok = False
-        status = "recovered" if injector.fired else "clean"
-    except ReproError as err:
-        error = f"{type(err).__name__}: {err}"
-        status = "failed"
-    outcome = ShardRunOutcome(
-        run_id=run_id,
-        seed=derived_seed,
-        plan=plan.describe(),
-        status=status,
-        shards=shards,
-        workers_killed=sum(1 for s, _ in injector.fired if s.kind == "worker_kill"),
-        workers_lost=workers_lost,
-        redispatched=redispatched,
-        serial_fallback=serial_fallback,
-        degraded=degraded,
-        resumed=resumed,
-        faults_fired=len(injector.fired),
-        bit_identical=bit_identical,
-        dispatch_identical=dispatch_identical,
-        lemmas_ok=lemmas_ok,
-        error=error,
-        n_events=len(recorder.events),
+    columns: ClassVar[tuple[Column, ...]] = (
+        ("status", "<10", "status"),
+        ("shards", ">6", "shards"),
+        ("killed", ">6", "killed"),
+        ("redisp", ">6", "redisp"),
+        ("resume", ">6", "resume"),
+        ("bitid", ">6", "bitid"),
+        ("L20", ">4", "L20"),
+        ("L3/4", ">5", "lemmas"),
     )
-    return outcome, recorder.events
-
-
-def format_shard_campaign(report: ShardCampaignReport) -> str:
-    survived = report.n_runs - report.n_failed
-    lines = [
-        f"shard-kill campaign: seed={report.seed}, {report.n_runs} runs — "
-        f"{survived} survived, {report.n_failed} failed, "
-        f"{report.total_workers_killed} workers SIGKILLed"
-    ]
-    lines.append("")
-    lines.append(
-        f"{'run':>4} {'status':<10} {'shards':>6} {'killed':>6} {'redisp':>6} "
-        f"{'resume':>6} {'bitid':>6} {'L20':>4} {'L3/4':>5}  detail"
-    )
-    for o in report.outcomes:
-        flag = lambda v: "-" if v is None else ("PASS" if v else "FAIL")  # noqa: E731
-        detail = o.error if o.error else o.plan
-        lines.append(
-            f"{o.run_id:>4} {o.status:<10} {o.shards:>6} {o.workers_killed:>6} "
-            f"{o.redispatched:>6} {o.resumed:>6} {flag(o.bit_identical):>6} "
-            f"{flag(o.dispatch_identical):>4} {flag(o.lemmas_ok):>5}  {detail}"
-        )
-    lines.append("")
-    lines.append(
+    detail: ClassVar[str] = "{plan}"
+    verdicts: ClassVar[tuple[str, str]] = (
         "SHARD CAMPAIGN OK: every kill recovered, reports bit-identical, "
-        "dispatch identity and lemma replay intact"
-        if report.ok
-        else "SHARD CAMPAIGN FAILED: a run failed, diverged from serial, or "
-        "broke dispatch identity / lemma replay"
+        "dispatch identity and lemma replay intact",
+        "SHARD CAMPAIGN FAILED: a run failed, diverged from serial, or "
+        "broke dispatch identity / lemma replay",
     )
-    return "\n".join(lines)
+    checks: ClassVar[tuple[str, ...]] = ("bitid", "L20", "lemmas")
+    counts: ClassVar[tuple[str, ...]] = (
+        "shards", "killed", "lost", "redisp", "fallback", "degraded", "resume",
+    )
+
+    def _fault_plan(self, run_id: int, seed: int) -> FaultPlan:
+        """The ``kills`` worker kills target dispatch ordinals ``1..kills``
+        — the first shards handed out, which land on distinct workers while
+        every worker is still busy with its first shard."""
+        faults = [FaultSpec(kind="worker_kill", after_calls=k + 1) for k in range(self.kills)]
+        if run_id % 3 == 2:
+            faults.append(FaultSpec(kind="shard_hang", after_calls=self.kills + 1))
+        if self.checkpoint_dir is not None and run_id % 4 == 3:
+            faults.append(FaultSpec(kind="checkpoint_corruption", after_calls=1))
+        return FaultPlan(seed=seed, faults=tuple(faults))
+
+    def plan(self, run_id: int, seed: int) -> tuple[str, str]:
+        return "NC_PAR_SHARDED", self._fault_plan(run_id, seed).describe()
+
+    def run(self, run_id: int, seed: int) -> tuple[Outcome, Sequence[TraceEvent]]:
+        recorder = MemoryRecorder()
+        power = PowerLaw(self.alpha)
+        instance = random_instance(self.jobs, seed=seed, volume="uniform")
+        plan = self._fault_plan(run_id, seed)
+        context = SimulationContext(power, recorder=recorder)
+        context.emit("run_meta", 0.0, "chaos", **_meta_payload(instance, self.alpha))
+        injector = FaultInjector(plan, context)
+        checks: dict[str, bool | None] = dict.fromkeys(self.checks)
+        counts = dict.fromkeys(self.counts, 0)
+        status = "failed"
+        error: str | None = None
+        checkpoint: str | None = None
+        try:
+            # The traced single-machine pair on the same instance: the
+            # material the Lemma 3/4 replay audits.
+            simulate_clairvoyant(instance, power, context=context)
+            simulate_nc_uniform(instance, power, context=context)
+
+            # Serial references, computed without faults or tracing.
+            serial_report = simulate_nc_par(instance, power, self.machines).report()
+            c_par_assignments = simulate_c_par(instance, power, self.machines).assignments
+
+            policy = PoolPolicy(
+                workers=self.workers,
+                heartbeat_interval=0.05,
+                heartbeat_timeout=10.0,
+                shard_timeout=max(2.0, self.shard_hold * 10.0),
+                poll_interval=0.01,
+            )
+            result = run_sharded(
+                instance, power, self.machines,
+                context=context, injector=injector, policy=policy,
+                checkpoint_dir=self.checkpoint_dir, shard_hold=self.shard_hold,
+            )
+            counts.update(shards=len(result.shards), resume=result.resumed)
+            if result.stats is not None:
+                counts.update(
+                    lost=result.stats.workers_lost,
+                    redisp=result.stats.redispatched,
+                    fallback=result.stats.serial_fallback,
+                    degraded=int(result.stats.degraded),
+                )
+            checks.update(
+                bitid=result.report == serial_report,
+                L20=result.cluster.assignments == c_par_assignments,
+                lemmas=_lemmas_hold(recorder.events),
+            )
+            status = "recovered" if injector.fired else "clean"
+        except ReproError as err:
+            error, checkpoint = _failure(err)
+        counts["killed"] = sum(1 for s, _ in injector.fired if s.kind == "worker_kill")
+        outcome = Outcome(
+            run_id=run_id,
+            family="NC_PAR_SHARDED",
+            seed=seed,
+            plan=plan.describe(),
+            status=status,
+            faults_fired=len(injector.fired),
+            error=error,
+            checkpoint=checkpoint,
+            n_events=len(recorder.events),
+            checks=checks,
+            counts=counts,
+        )
+        return outcome, recorder.events
 
 
 # -- the service chaos campaign -----------------------------------------------
@@ -824,64 +757,17 @@ _SERVICE_ROTATION = (
 _FINGERPRINT_PATHS = ("/speeds", "/schedule", "/metrics", "/report")
 
 
-@dataclass(frozen=True)
-class ServiceRunOutcome:
-    """One service chaos run's verdict.
-
-    ``bit_identical`` is exact byte equality of the recovered session's
-    speeds/schedule/metrics/verified-report bodies with a never-faulted
-    twin's (None when the scenario has no twin, e.g. a quarantined
-    corruption); ``lemmas_ok`` is the Lemma 3/4 replay served by
-    ``GET /report`` on the surviving session.
-    """
-
-    run_id: int
-    scenario: str
-    seed: int
-    status: str  # "clean" | "recovered" | "failed"
-    faults_fired: int
-    bit_identical: bool | None
-    lemmas_ok: bool | None
-    restored: int
-    quarantined: int
-    error: str | None
-    n_events: int
-
-
-@dataclass(frozen=True)
-class ServiceCampaignReport:
-    seed: int
-    n_runs: int
-    outcomes: tuple[ServiceRunOutcome, ...]
-
-    @property
-    def n_failed(self) -> int:
-        return sum(1 for o in self.outcomes if o.status == "failed")
-
-    @property
-    def ok(self) -> bool:
-        """Every scenario recovered, every recovered session is bit-identical
-        to its uninterrupted twin, and every lemma replay passed — the
-        acceptance contract of the durable service layer."""
-        return all(
-            o.status in ("clean", "recovered")
-            and o.bit_identical is not False
-            and o.lemmas_ok is not False
-            for o in self.outcomes
-        )
-
-
 def _free_port() -> int:
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
+        return int(s.getsockname()[1])
 
 
 def _http(
     port: int,
     method: str,
     path: str,
-    body: dict | None = None,
+    body: dict[str, Any] | None = None,
     *,
     timeout: float = 10.0,
 ) -> tuple[int, bytes]:
@@ -905,7 +791,7 @@ def _spawn_server(
     *,
     extra: tuple[str, ...] = (),
     timeout: float = 30.0,
-) -> subprocess.Popen:
+) -> subprocess.Popen[bytes]:
     """Start a real ``repro serve`` subprocess and wait until it is healthy."""
     import repro
 
@@ -940,7 +826,7 @@ def _spawn_server(
     raise RuntimeError(f"server on port {port} not healthy within {timeout:.0f}s")
 
 
-def _stop_server(proc: subprocess.Popen | None) -> None:
+def _stop_server(proc: subprocess.Popen[bytes] | None) -> None:
     if proc is None or proc.poll() is not None:
         return
     proc.terminate()
@@ -951,7 +837,7 @@ def _stop_server(proc: subprocess.Popen | None) -> None:
         proc.wait()
 
 
-def _service_batches(jobs: int, derived_seed: int) -> list[list[dict]]:
+def _service_batches(jobs: int, derived_seed: int) -> list[list[dict[str, Any]]]:
     """The deterministic arrival batches of one scenario (unit density, so
     the verified-report lemma replay is servable)."""
     instance = random_instance(jobs, derived_seed, density="unit")
@@ -994,82 +880,114 @@ def _restore_counts(port: int) -> tuple[int, int]:
     return int(restore.get("restored", 0)), int(restore.get("quarantined", 0))
 
 
-def _submit(port: int, session_id: str, batch: list[dict]) -> None:
+def _submit(port: int, session_id: str, batch: list[dict[str, Any]]) -> None:
     status, body = _http(
         port, "POST", f"/sessions/{session_id}/jobs", {"jobs": batch}
     )
     _expect(status, 202, f"submit to {session_id!r}", body)
 
 
-def _create_session(
-    port: int, session_id: str, alpha: float, *, expect: int = 201
-) -> None:
+def _create_session(port: int, session_id: str, alpha: float) -> None:
     status, body = _http(
         port, "POST", "/sessions",
         {"session_id": session_id, "alpha": alpha, "algorithm": "NC"},
     )
-    _expect(status, expect, f"create {session_id!r}", body)
+    _expect(status, 201, f"create {session_id!r}", body)
 
 
-def _run_one_service(
-    run_id: int,
-    scenario: str,
-    derived_seed: int,
-    *,
-    jobs: int,
-    alpha: float,
-) -> tuple[ServiceRunOutcome, list[TraceEvent]]:
-    recorder = MemoryRecorder()
-    recorder.emit(
-        "run_meta", 0.0, "chaos",
-        run_id=run_id, scenario=scenario, seed=derived_seed,
-        alpha=alpha, jobs=jobs,
+@dataclass(frozen=True)
+class ServiceScenario:
+    """Runs against live scheduling services (``repro chaos --service``).
+
+    Rotates through :data:`_SERVICE_ROTATION`: real ``repro serve``
+    subprocesses are SIGKILLed mid-workload (plain, with a torn journal
+    tail, and with interior journal corruption), a bounded store is driven
+    through an LRU eviction cycle, and in-thread socket servers absorb
+    injected slow handlers and connection drops.  Every recovery is
+    verified **differentially**: ``bitid`` is exact byte equality of the
+    surviving session's speeds/schedule/metrics/verified-report bodies with
+    a twin service that never saw the fault (``None`` when the scenario has
+    no twin, e.g. a quarantined corruption), and ``lemmas`` is the Lemma
+    3/4 replay served by ``GET /report`` on the surviving session.  The
+    counts ``rest``/``quar`` are the restarted server's restored and
+    quarantined sessions.
+    """
+
+    jobs: int = 6
+    alpha: float = 3.0
+
+    heading: ClassVar[str] = (
+        "service chaos campaign: seed={seed}, {n_runs} runs — "
+        "{survived} survived, {failed} failed"
     )
-    faults_fired = 0
-    bit_identical: bool | None = None
-    lemmas_ok: bool | None = None
-    restored = 0
-    quarantined = 0
-    status = "failed"
-    error: str | None = None
-    tmp = tempfile.mkdtemp(prefix="repro-service-chaos-")
-    try:
-        if scenario in ("kill_restart", "torn_tail", "corruption"):
-            result = _scenario_kill(
-                scenario, derived_seed, Path(tmp), recorder,
-                jobs=jobs, alpha=alpha,
-            )
-        elif scenario == "evict":
-            result = _scenario_evict(derived_seed, Path(tmp), recorder, jobs=jobs, alpha=alpha)
-        else:  # slow_handler | connection_drop
-            result = _scenario_gate(
-                scenario, derived_seed, recorder, jobs=jobs, alpha=alpha
-            )
-        faults_fired, bit_identical, lemmas_ok, restored, quarantined = result
-        status = "recovered" if faults_fired else "clean"
+    columns: ClassVar[tuple[Column, ...]] = (
+        ("scenario", "<16", "plan"),
+        ("status", "<10", "status"),
+        ("faults", ">6", "faults_fired"),
+        ("bitid", ">6", "bitid"),
+        ("L3/4", ">5", "lemmas"),
+        ("rest", ">5", "rest"),
+        ("quar", ">5", "quar"),
+    )
+    detail: ClassVar[str] = "seed={seed}"
+    verdicts: ClassVar[tuple[str, str]] = (
+        "SERVICE CAMPAIGN OK: every crash/evict/drop recovered bit-identical "
+        "with lemma replays intact",
+        "SERVICE CAMPAIGN FAILED: a scenario failed, diverged from its "
+        "twin, or broke a lemma replay",
+    )
+    checks: ClassVar[tuple[str, ...]] = ("bitid", "lemmas")
+    counts: ClassVar[tuple[str, ...]] = ("rest", "quar")
+
+    def plan(self, run_id: int, seed: int) -> tuple[str, str]:
+        name = _SERVICE_ROTATION[run_id % len(_SERVICE_ROTATION)]
+        return f"SERVICE_{name.upper()}", name
+
+    def run(self, run_id: int, seed: int) -> tuple[Outcome, Sequence[TraceEvent]]:
+        family, name = self.plan(run_id, seed)
+        jobs, alpha = self.jobs, self.alpha
+        recorder = MemoryRecorder()
         recorder.emit(
-            "recovery", 0.0, "service.chaos",
-            scenario=scenario, restored=restored, quarantined=quarantined,
+            "run_meta", 0.0, "chaos",
+            run_id=run_id, scenario=name, seed=seed, alpha=alpha, jobs=jobs,
         )
-    except Exception as err:  # noqa: BLE001 — every breakage is a failed run
-        error = f"{type(err).__name__}: {err}"
+        checks: dict[str, bool | None] = dict.fromkeys(self.checks)
+        counts = dict.fromkeys(self.counts, 0)
+        faults_fired = 0
         status = "failed"
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    outcome = ServiceRunOutcome(
-        run_id=run_id,
-        scenario=scenario,
-        seed=derived_seed,
-        status=status,
-        faults_fired=faults_fired,
-        bit_identical=bit_identical,
-        lemmas_ok=lemmas_ok,
-        restored=restored,
-        quarantined=quarantined,
-        error=error,
-        n_events=len(recorder.events),
-    )
-    return outcome, recorder.events
+        error: str | None = None
+        tmp = Path(tempfile.mkdtemp(prefix="repro-service-chaos-"))
+        try:
+            if name in ("kill_restart", "torn_tail", "corruption"):
+                result = _scenario_kill(name, seed, tmp, recorder, jobs=jobs, alpha=alpha)
+            elif name == "evict":
+                result = _scenario_evict(seed, tmp, recorder, jobs=jobs, alpha=alpha)
+            else:  # slow_handler | connection_drop
+                result = _scenario_gate(name, seed, recorder, jobs=jobs, alpha=alpha)
+            faults_fired, checks["bitid"], checks["lemmas"], counts["rest"], counts["quar"] = result
+            status = "recovered" if faults_fired else "clean"
+            recorder.emit(
+                "recovery", 0.0, "service.chaos",
+                scenario=name, restored=counts["rest"], quarantined=counts["quar"],
+            )
+        except Exception as err:  # noqa: BLE001 — every breakage is a failed run
+            error = f"{type(err).__name__}: {err}"
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)
+        outcome = Outcome(
+            run_id=run_id,
+            family=family,
+            seed=seed,
+            plan=name,
+            status=status,
+            faults_fired=faults_fired,
+            error=error,
+            checkpoint=None,
+            n_events=len(recorder.events),
+            checks=checks,
+            counts=counts,
+        )
+        return outcome, recorder.events
 
 
 def _scenario_kill(
@@ -1251,8 +1169,6 @@ def _scenario_gate(
     from ..service.app import create_app
     from ..service.asgi import serve
     from ..service.sessions import SessionManager
-    from ..faults.injector import FaultInjector
-    from ..faults.plan import FaultPlan, FaultSpec
 
     plan = FaultPlan(
         seed=derived_seed,
@@ -1262,7 +1178,7 @@ def _scenario_gate(
     injector = FaultInjector(plan, context)
     batches = _service_batches(jobs, derived_seed)
 
-    def _threaded(app) -> tuple[threading.Thread, Any, Any]:
+    def _threaded(app: Any) -> tuple[threading.Thread, dict[str, Any]]:
         started = threading.Event()
         box: dict[str, Any] = {}
 
@@ -1289,10 +1205,10 @@ def _scenario_gate(
         thread.start()
         if not started.wait(10.0):
             raise RuntimeError(f"{scenario} server thread not ready")
-        return thread, box["loop"], box
+        return thread, box
 
-    def _stop(thread: threading.Thread, loop, box) -> None:
-        loop.call_soon_threadsafe(box["trigger"].set)
+    def _stop(thread: threading.Thread, box: dict[str, Any]) -> None:
+        box["loop"].call_soon_threadsafe(box["trigger"].set)
         thread.join(10.0)
 
     # Faulted server: a tight request deadline turns the stalled handler
@@ -1300,7 +1216,7 @@ def _scenario_gate(
     # the response off mid-status-line (connection_drop).
     app = create_app(SessionManager(), request_timeout=0.25)
     app.gates.append(injector.service_gate())
-    thread, loop, box = _threaded(app)
+    thread, box = _threaded(app)
     try:
         port = box["port"]
         _create_session(port, "chaos", alpha)  # gated call 1: clean
@@ -1310,7 +1226,7 @@ def _scenario_gate(
                 port, "POST", "/sessions/chaos/jobs", {"jobs": batches[0]},
                 timeout=5.0,
             )
-        except (OSError, Exception) as err:  # noqa: BLE001 — torn response
+        except Exception as err:  # noqa: BLE001 — torn response
             if scenario != "connection_drop":
                 raise
             recorder.emit(
@@ -1331,10 +1247,10 @@ def _scenario_gate(
             _submit(port, "chaos", batch)
         live_fp = _fingerprint(port, "chaos")
     finally:
-        _stop(thread, loop, box)
+        _stop(thread, box)
 
     twin_app = create_app(SessionManager(), request_timeout=0.25)
-    twin_thread, twin_loop, twin_box = _threaded(twin_app)
+    twin_thread, twin_box = _threaded(twin_app)
     try:
         twin_port = twin_box["port"]
         _create_session(twin_port, "chaos", alpha)
@@ -1342,89 +1258,6 @@ def _scenario_gate(
             _submit(twin_port, "chaos", batch)
         twin_fp = _fingerprint(twin_port, "chaos")
     finally:
-        _stop(twin_thread, twin_loop, twin_box)
+        _stop(twin_thread, twin_box)
 
-    return (
-        len(injector.fired),
-        live_fp == twin_fp,
-        _lemmas_from_report(live_fp),
-        0,
-        0,
-    )
-
-
-def run_service_campaign(
-    seed: int,
-    n_runs: int,
-    *,
-    jobs: int = 6,
-    alpha: float = 3.0,
-    out: str | Path | None = None,
-    sink_spec: str = "plain",
-) -> ServiceCampaignReport:
-    """Run ``n_runs`` seeded scenarios against live scheduling services.
-
-    Rotates through :data:`_SERVICE_ROTATION`: real ``repro serve``
-    subprocesses are SIGKILLed mid-workload (plain, with a torn journal
-    tail, and with interior journal corruption), a bounded store is driven
-    through an LRU eviction cycle, and in-thread socket servers absorb
-    injected slow handlers and connection drops.  Every recovery is
-    verified **differentially**: the surviving session's speeds, schedule,
-    metrics, and verified Lemma 3/4 report must be byte-identical to a twin
-    service that never saw the fault.  The campaign's trace (``out``)
-    partitions per run exactly like the other campaigns'.
-    """
-    outcomes: list[ServiceRunOutcome] = []
-    sink = make_sink(out, sink_spec) if out is not None else None
-    try:
-        for i in range(n_runs):
-            derived = seed * 1_000_003 + i
-            scenario = _SERVICE_ROTATION[i % len(_SERVICE_ROTATION)]
-            outcome, events = _run_one_service(
-                i, scenario, derived, jobs=jobs, alpha=alpha
-            )
-            outcomes.append(outcome)
-            if sink is not None:
-                header = {
-                    "run_id": outcome.run_id,
-                    "family": f"SERVICE_{scenario.upper()}",
-                    "seed": outcome.seed,
-                    "plan": scenario,
-                    "status": outcome.status,
-                }
-                _write_run(sink, header, events)
-                sink.flush()
-    finally:
-        if sink is not None:
-            sink.close()
-    return ServiceCampaignReport(seed=seed, n_runs=n_runs, outcomes=tuple(outcomes))
-
-
-def format_service_campaign(report: ServiceCampaignReport) -> str:
-    survived = report.n_runs - report.n_failed
-    lines = [
-        f"service chaos campaign: seed={report.seed}, {report.n_runs} runs — "
-        f"{survived} survived, {report.n_failed} failed"
-    ]
-    lines.append("")
-    lines.append(
-        f"{'run':>4} {'scenario':<16} {'status':<10} {'faults':>6} "
-        f"{'bitid':>6} {'L3/4':>5} {'rest':>5} {'quar':>5}  detail"
-    )
-    for o in report.outcomes:
-        flag = lambda v: "-" if v is None else ("PASS" if v else "FAIL")  # noqa: E731
-        detail = o.error if o.error else f"seed={o.seed}"
-        lines.append(
-            f"{o.run_id:>4} {o.scenario:<16} {o.status:<10} {o.faults_fired:>6} "
-            f"{flag(o.bit_identical):>6} {flag(o.lemmas_ok):>5} "
-            f"{o.restored:>5} {o.quarantined:>5}  {detail}"
-        )
-    lines.append("")
-    lines.append(
-        "SERVICE CAMPAIGN OK: every crash/evict/drop recovered bit-identical "
-        "with lemma replays intact"
-        if report.ok
-        else "SERVICE CAMPAIGN FAILED: a scenario failed, diverged from its "
-        "twin, or broke a lemma replay"
-    )
-    return "\n".join(lines)
+    return len(injector.fired), live_fp == twin_fp, _lemmas_from_report(live_fp), 0, 0

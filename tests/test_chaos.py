@@ -10,14 +10,20 @@ corruption.
 from __future__ import annotations
 
 import dataclasses
+import time
+from dataclasses import dataclass
 
 import pytest
 
+import repro.runtime.chaos as chaos_mod
 from repro.cli import main
-from repro.core.tracing import read_jsonl, rotated_paths
+from repro.core.tracing import MemoryRecorder, read_jsonl, rotated_paths
 from repro.runtime.chaos import (
     CampaignReport,
-    RunOutcome,
+    FamilyScenario,
+    Outcome,
+    ServiceScenario,
+    ShardScenario,
     format_campaign,
     iter_campaign_runs,
     run_campaign,
@@ -65,9 +71,9 @@ class TestCampaignGuarantee:
 
     def test_pair_runs_reverify_lemmas(self, campaign):
         report, _ = campaign
-        pair_runs = [o for o in report.outcomes if o.lemmas_ok is not None]
+        pair_runs = [o for o in report.outcomes if o.checks["lemmas"] is not None]
         assert pair_runs  # the rotation always includes pair scenarios
-        assert all(o.lemmas_ok for o in pair_runs)
+        assert all(o.checks["lemmas"] for o in pair_runs)
 
     def test_all_families_covered(self, campaign):
         report, _ = campaign
@@ -149,7 +155,7 @@ class TestCampaignStreamVerification:
             if outcome.status == "failed":
                 continue  # aborted runs may leave partial kernel streams
             assert v.ok, (outcome.run_id, v.error)
-            if outcome.lemmas_ok:
+            if outcome.checks["lemmas"]:
                 assert v.report is not None
                 assert all(c.holds for c in v.report.checks)
 
@@ -171,27 +177,182 @@ class TestCampaignStreamVerification:
         ]
 
 
+@dataclass(frozen=True)
+class Stub:
+    """A scripted scenario: run ``i`` sleeps ``delay`` seconds, then ends as
+    ``script[i % len(script)]`` — its status and its one check, ``ok``."""
+
+    script: tuple[tuple[str, bool | None], ...] = (("clean", True),)
+    delay: float = 0.0
+
+    heading = "stub campaign: seed={seed}, {n_runs} runs — {failed} failed, {ticks} ticks"
+    columns = (("status", "<10", "status"), ("ok", ">4", "ok"), ("ticks", ">5", "ticks"))
+    detail = "{plan}"
+    verdicts = FamilyScenario.verdicts
+    checks = ("ok",)
+    counts = ("ticks",)
+
+    def plan(self, run_id, seed):
+        return "STUB", f"stub(seed={seed})"
+
+    def run(self, run_id, seed):
+        time.sleep(self.delay)
+        status, ok = self.script[run_id % len(self.script)]
+        failed = status == "failed"
+        recorder = MemoryRecorder()
+        recorder.emit("run_meta", 0.0, "chaos", run_id=run_id)
+        family, plan = self.plan(run_id, seed)
+        outcome = Outcome(
+            run_id=run_id, family=family, seed=seed, plan=plan, status=status,
+            faults_fired=int(status != "clean"),
+            error="StubError: scripted" if failed else None,
+            checkpoint="attempt-3" if failed else None,
+            n_events=len(recorder.events),
+            checks={"ok": ok}, counts={"ticks": run_id + 1},
+        )
+        return outcome, recorder.events
+
+
 class TestOutcomeModel:
+    """The one ``ok`` rule: every status clean/recovered, no check False."""
+
     def test_report_ok_rejects_failed_runs(self):
-        good = RunOutcome(
-            run_id="r0", family="NC_GENERAL", seed=1, plan="p", status="clean",
-            attempts=1, faults_fired=0, lemmas_ok=None, error=None,
-            checkpoint=None, n_events=10,
-        )
-        bad = dataclasses.replace(
-            good, run_id="r1", status="failed", error="RecoveryExhaustedError",
-            checkpoint="attempt-3",
-        )
-        assert CampaignReport(0, 2, (good, good)).ok
-        assert not CampaignReport(0, 2, (good, bad)).ok
+        assert run_campaign(0, 2, scenario=Stub()).ok
+        failing = Stub(script=(("clean", None), ("failed", None)))
+        report = run_campaign(0, 2, scenario=failing)
+        assert not report.ok
+        assert report.n_failed == 1 and report.n_clean == 1
 
     def test_report_ok_rejects_broken_lemmas(self):
-        run = RunOutcome(
-            run_id="r0", family="NC_PAIR", seed=1, plan="p", status="recovered",
-            attempts=2, faults_fired=1, lemmas_ok=False, error=None,
-            checkpoint=None, n_events=10,
+        assert not run_campaign(0, 1, scenario=Stub(script=(("recovered", False),))).ok
+
+    def test_none_check_is_not_a_failure(self):
+        report = run_campaign(0, 3, scenario=Stub(script=(("recovered", None),)))
+        assert report.ok and report.n_recovered == 3
+        assert report.total("ticks") == 1 + 2 + 3
+
+    def test_out_headers_carry_run_identity(self, tmp_path):
+        out = tmp_path / "stub.jsonl"
+        report = run_campaign(4, 3, scenario=Stub(script=(("clean", True), ("failed", None))),
+                              out=out)
+        headers = [h for h, _ in iter_campaign_runs(out)]
+        assert headers == [
+            {"run_id": o.run_id, "family": "STUB", "seed": 4 * 1_000_003 + o.run_id,
+             "plan": o.plan, "status": o.status}
+            for o in report.outcomes
+        ]
+        assert [h["status"] for h in headers] == ["clean", "failed", "clean"]
+
+    def test_stub_formats_through_its_declared_columns(self):
+        report = run_campaign(1, 2, scenario=Stub(script=(("clean", True), ("failed", None))))
+        assert format_campaign(report) == (
+            "stub campaign: seed=1, 2 runs — 1 failed, 3 ticks\n\n"
+            " run status       ok ticks  detail\n"
+            "   0 clean      PASS     1  stub(seed=1000003)\n"
+            "   1 failed        -     2  StubError: scripted\n\n"
+            "CAMPAIGN FAILED: at least one run failed or broke a replayed lemma"
         )
-        assert not CampaignReport(0, 1, (run,)).ok
+
+
+def _row(run_id, family, seed, plan, status, faults, checks, counts, error=None, ckpt=None):
+    return Outcome(
+        run_id=run_id, family=family, seed=seed, plan=plan, status=status,
+        faults_fired=faults, error=error, checkpoint=ckpt, n_events=10,
+        checks=checks, counts=counts,
+    )
+
+
+class TestTableLayouts:
+    """The one formatter reproduces the three pre-merge tables byte for byte
+    (passing rows, ``-`` rows, failed rows with errors, both verdicts)."""
+
+    def test_family_table(self):
+        rows = (
+            _row(0, "NC_PAIR", 17, "plan(seed=17): release_drop job=6", "recovered", 1,
+                 {"lemmas": True}, {"attempts": 1}),
+            _row(1, "NC_GENERAL", 18, "plan(seed=18): power_nan job=1 after=3", "clean", 0,
+                 {"lemmas": None}, {"attempts": 1}),
+            _row(2, "CAPPED_PAIR", 19, "plan(seed=19): oracle_lie job=1", "recovered", 1,
+                 {"lemmas": False}, {"attempts": 2}),
+            _row(3, "NC_PAR", 20, "plan(seed=20): machine_failure job=4", "failed", 1,
+                 {"lemmas": None}, {"attempts": 4},
+                 error="RecoveryExhaustedError: gave up", ckpt="attempt-3"),
+        )
+        sc = FamilyScenario()
+        assert format_campaign(CampaignReport(7, 2, rows[:2], sc)) == (
+            "chaos campaign: seed=7, 2 runs — 1 clean, 1 recovered, 0 failed\n\n"
+            " run family       status     attempts faults  lemmas  detail\n"
+            "   0 NC_PAIR      recovered         1      1    PASS  plan(seed=17): release_drop job=6\n"
+            "   1 NC_GENERAL   clean             1      0       -  plan(seed=18): power_nan job=1 after=3\n\n"
+            "CAMPAIGN OK: every run survived with guarantees intact"
+        )
+        assert format_campaign(CampaignReport(7, 4, rows, sc)) == (
+            "chaos campaign: seed=7, 4 runs — 1 clean, 2 recovered, 1 failed\n\n"
+            " run family       status     attempts faults  lemmas  detail\n"
+            "   0 NC_PAIR      recovered         1      1    PASS  plan(seed=17): release_drop job=6\n"
+            "   1 NC_GENERAL   clean             1      0       -  plan(seed=18): power_nan job=1 after=3\n"
+            "   2 CAPPED_PAIR  recovered         2      1    FAIL  plan(seed=19): oracle_lie job=1\n"
+            "   3 NC_PAR       failed            4      1       -  RecoveryExhaustedError: gave up\n\n"
+            "CAMPAIGN FAILED: at least one run failed or broke a replayed lemma"
+        )
+
+    def test_shard_table(self):
+        def counts(shards, killed, redisp, resume):
+            return {"shards": shards, "killed": killed, "lost": 0, "redisp": redisp,
+                    "fallback": 0, "degraded": 0, "resume": resume}
+
+        rows = (
+            _row(0, "NC_PAR_SHARDED", 5, "plan(seed=5): worker_kill after=1", "recovered", 2,
+                 {"bitid": True, "L20": True, "lemmas": True}, counts(3, 2, 3, 1)),
+            _row(1, "NC_PAR_SHARDED", 6, "plan(seed=6): shard_hang after=2", "clean", 0,
+                 {"bitid": True, "L20": True, "lemmas": None}, counts(2, 0, 0, 0)),
+            _row(2, "NC_PAR_SHARDED", 7, "plan(seed=7): worker_kill after=1", "failed", 1,
+                 {"bitid": None, "L20": None, "lemmas": None}, counts(0, 1, 0, 0),
+                 error="ShardFailedError: pool exhausted"),
+        )
+        sc = ShardScenario()
+        assert format_campaign(CampaignReport(3, 2, rows[:2], sc)) == (
+            "shard-kill campaign: seed=3, 2 runs — 2 survived, 0 failed, 2 workers SIGKILLed\n\n"
+            " run status     shards killed redisp resume  bitid  L20  L3/4  detail\n"
+            "   0 recovered       3      2      3      1   PASS PASS  PASS  plan(seed=5): worker_kill after=1\n"
+            "   1 clean           2      0      0      0   PASS PASS     -  plan(seed=6): shard_hang after=2\n\n"
+            "SHARD CAMPAIGN OK: every kill recovered, reports bit-identical, dispatch identity and lemma replay intact"
+        )
+        assert format_campaign(CampaignReport(3, 3, rows, sc)) == (
+            "shard-kill campaign: seed=3, 3 runs — 2 survived, 1 failed, 3 workers SIGKILLed\n\n"
+            " run status     shards killed redisp resume  bitid  L20  L3/4  detail\n"
+            "   0 recovered       3      2      3      1   PASS PASS  PASS  plan(seed=5): worker_kill after=1\n"
+            "   1 clean           2      0      0      0   PASS PASS     -  plan(seed=6): shard_hang after=2\n"
+            "   2 failed          0      1      0      0      -    -     -  ShardFailedError: pool exhausted\n\n"
+            "SHARD CAMPAIGN FAILED: a run failed, diverged from serial, or broke dispatch identity / lemma replay"
+        )
+
+    def test_service_table(self):
+        rows = (
+            _row(0, "SERVICE_KILL_RESTART", 11, "kill_restart", "recovered", 1,
+                 {"bitid": True, "lemmas": True}, {"rest": 1, "quar": 0}),
+            _row(1, "SERVICE_CORRUPTION", 12, "corruption", "recovered", 2,
+                 {"bitid": None, "lemmas": None}, {"rest": 0, "quar": 1}),
+            _row(2, "SERVICE_CONNECTION_DROP", 13, "connection_drop", "failed", 0,
+                 {"bitid": None, "lemmas": None}, {"rest": 0, "quar": 0},
+                 error="RuntimeError: server not healthy"),
+        )
+        sc = ServiceScenario()
+        assert format_campaign(CampaignReport(4, 2, rows[:2], sc)) == (
+            "service chaos campaign: seed=4, 2 runs — 2 survived, 0 failed\n\n"
+            " run scenario         status     faults  bitid  L3/4  rest  quar  detail\n"
+            "   0 kill_restart     recovered       1   PASS  PASS     1     0  seed=11\n"
+            "   1 corruption       recovered       2      -     -     0     1  seed=12\n\n"
+            "SERVICE CAMPAIGN OK: every crash/evict/drop recovered bit-identical with lemma replays intact"
+        )
+        assert format_campaign(CampaignReport(4, 3, rows, sc)) == (
+            "service chaos campaign: seed=4, 3 runs — 2 survived, 1 failed\n\n"
+            " run scenario         status     faults  bitid  L3/4  rest  quar  detail\n"
+            "   0 kill_restart     recovered       1   PASS  PASS     1     0  seed=11\n"
+            "   1 corruption       recovered       2      -     -     0     1  seed=12\n"
+            "   2 connection_drop  failed          0      -     -     0     0  RuntimeError: server not healthy\n\n"
+            "SERVICE CAMPAIGN FAILED: a scenario failed, diverged from its twin, or broke a lemma replay"
+        )
 
 
 class TestRunTimeout:
@@ -200,41 +361,24 @@ class TestRunTimeout:
         b = run_campaign(5, 6, run_timeout=60.0)
         assert a.outcomes == b.outcomes
 
-    def test_wedged_run_fails_structured(self, tmp_path, monkeypatch):
-        import time
-
-        import repro.runtime.chaos as chaos_mod
-
-        real = chaos_mod._run_one
-
-        def wedged(run_id, family, derived_seed, **kwargs):
-            time.sleep(0.5)
-            return real(run_id, family, derived_seed, **kwargs)
-
-        monkeypatch.setattr(chaos_mod, "_run_one", wedged)
+    def test_wedged_run_fails_structured(self, tmp_path):
         out = tmp_path / "chaos.jsonl"
-        report = run_campaign(0, 2, run_timeout=0.05, out=out)
+        report = run_campaign(0, 2, scenario=Stub(delay=0.5), run_timeout=0.05, out=out)
         assert not report.ok
         assert report.n_failed == 2
         for outcome in report.outcomes:
             assert outcome.status == "failed"
             assert outcome.checkpoint == "run_timeout"
             assert outcome.error and "RunTimeout" in outcome.error
+            assert outcome.checks == {"ok": None} and outcome.counts == {"ticks": 0}
         events = read_jsonl(out)
         assert any(e.kind == "run_timeout" for e in events)
-        # the abandoned runs still get run_meta headers in the sink
-        headers = [e for e in events if e.kind == "run_meta" and "run_id" in e.payload]
-        assert len(headers) == 2
+        # the abandoned runs still get campaign headers in the sink
+        headers = [h for h, _ in iter_campaign_runs(out)]
+        assert [h["status"] for h in headers] == ["failed", "failed"]
 
     def test_cli_timeout_preserves_nonzero_exit(self, capsys, monkeypatch):
-        import time
-
-        import repro.runtime.chaos as chaos_mod
-
-        monkeypatch.setattr(
-            chaos_mod, "_run_one",
-            lambda *a, **k: time.sleep(0.5) or (_ for _ in ()).throw(RuntimeError),
-        )
+        monkeypatch.setattr(chaos_mod, "FamilyScenario", lambda **kw: Stub(delay=0.5))
         assert main(["chaos", "--n", "1", "--timeout", "0.05"]) == 1
         assert "CAMPAIGN FAILED" in capsys.readouterr().out
 
@@ -245,19 +389,23 @@ class TestCliExitCodes:
         assert "CAMPAIGN OK" in capsys.readouterr().out
 
     def test_chaos_exits_nonzero_on_failure(self, capsys, monkeypatch):
-        import repro.runtime.chaos as chaos_mod
-
-        failed = RunOutcome(
-            run_id="r0", family="NC_GENERAL", seed=1, plan="p", status="failed",
-            attempts=4, faults_fired=1, lemmas_ok=None,
-            error="RecoveryExhaustedError", checkpoint="attempt-3", n_events=5,
-        )
         monkeypatch.setattr(
-            chaos_mod, "run_campaign",
-            lambda *a, **k: CampaignReport(0, 1, (failed,)),
+            chaos_mod, "FamilyScenario", lambda **kw: Stub(script=(("failed", None),))
         )
         assert main(["chaos", "--n", "1"]) == 1
         assert "CAMPAIGN FAILED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--shards", "--service"], ["--shards", "--timeout", "1"],
+         ["--service", "--timeout", "1"]],
+        ids=["shards-service", "shards-timeout", "service-timeout"],
+    )
+    def test_chaos_rejects_conflicting_flags(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--n", "1", *flags])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
 
     def test_verify_exits_zero_when_claims_hold(self, capsys):
         assert main(["verify", "--jobs", "5", "--seed", "2"]) == 0

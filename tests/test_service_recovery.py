@@ -47,7 +47,9 @@ from repro.runtime.chaos import (
     _http,
     _spawn_server,
     _stop_server,
-    run_service_campaign,
+    ServiceScenario,
+    iter_campaign_runs,
+    run_campaign,
 )
 from repro.service import TestClient, create_app, serve
 from repro.service.journal import (
@@ -679,14 +681,13 @@ def test_sigkill_restart_differential():
     """The acceptance scenario end-to-end: a real server SIGKILLed
     mid-workload, restarted, and byte-compared against a never-killed twin
     (run 0 of the service chaos rotation)."""
-    report = run_service_campaign(11, 1, jobs=6, alpha=ALPHA)
+    report = run_campaign(11, 1, scenario=ServiceScenario(jobs=6, alpha=ALPHA))
     assert report.ok, report.outcomes
     outcome = report.outcomes[0]
-    assert outcome.scenario == "kill_restart"
+    assert outcome.plan == "kill_restart"
     assert outcome.status == "recovered"
-    assert outcome.bit_identical is True
-    assert outcome.lemmas_ok is True
-    assert outcome.restored == 1
+    assert outcome.checks == {"bitid": True, "lemmas": True}
+    assert outcome.counts["rest"] == 1
 
 
 def test_service_campaign_torn_and_corrupt_scenarios(tmp_path):
@@ -694,15 +695,12 @@ def test_service_campaign_torn_and_corrupt_scenarios(tmp_path):
     prefix bit-identically; interior corruption is quarantined (404 +
     health count), never silently restored."""
     out = tmp_path / "campaign.jsonl"
-    report = run_service_campaign(7, 3, jobs=6, alpha=ALPHA, out=out)
+    report = run_campaign(7, 3, scenario=ServiceScenario(jobs=6, alpha=ALPHA), out=out)
     assert report.ok, report.outcomes
-    by_scenario = {o.scenario: o for o in report.outcomes}
-    assert by_scenario["torn_tail"].bit_identical is True
-    assert by_scenario["corruption"].quarantined == 1
-    assert by_scenario["corruption"].restored == 0
+    by_scenario = {o.plan: o for o in report.outcomes}
+    assert by_scenario["torn_tail"].checks["bitid"] is True
+    assert by_scenario["corruption"].counts == {"rest": 0, "quar": 1}
     # The campaign trace partitions per run like every other campaign's.
-    from repro.runtime.chaos import iter_campaign_runs
-
     headers = [h for h, _ in iter_campaign_runs(out)]
     assert [h["family"] for h in headers] == [
         "SERVICE_KILL_RESTART", "SERVICE_TORN_TAIL", "SERVICE_CORRUPTION",

@@ -30,7 +30,7 @@ from repro.parallel import (
     simulate_c_par,
     simulate_nc_par,
 )
-from repro.runtime.chaos import format_shard_campaign, run_shard_campaign
+from repro.runtime.chaos import ShardScenario, format_campaign, run_campaign
 from repro.runtime.pool import PoolPolicy, PoolStats, WorkerPool
 from repro.workloads import random_instance
 
@@ -287,24 +287,22 @@ class TestPoolRecovery:
 
 class TestShardCampaign:
     def test_small_campaign_is_ok_and_formats(self, tmp_path):
-        report = run_shard_campaign(
-            0, 1, jobs=10, machines=3, workers=2, kills=1,
+        scenario = ShardScenario(
+            jobs=10, machines=3, workers=2, kills=1,
             shard_hold=0.08, checkpoint_dir=tmp_path,
         )
+        report = run_campaign(0, 1, scenario=scenario)
         assert report.ok
-        assert report.total_workers_killed >= 1
+        assert report.total("killed") >= 1
         run = report.outcomes[0]
         assert run.status in ("clean", "recovered")
-        assert run.bit_identical is True
-        assert run.dispatch_identical is True
-        assert run.lemmas_ok is True
-        text = format_shard_campaign(report)
+        assert run.checks == {"bitid": True, "L20": True, "lemmas": True}
+        text = format_campaign(report)
         assert "SHARD CAMPAIGN OK" in text
 
     def test_campaign_is_deterministic_in_plans(self):
-        a = run_shard_campaign(7, 1, jobs=8, machines=2, workers=1, kills=1,
-                               shard_hold=0.05)
-        b = run_shard_campaign(7, 1, jobs=8, machines=2, workers=1, kills=1,
-                               shard_hold=0.05)
+        scenario = ShardScenario(jobs=8, machines=2, workers=1, kills=1, shard_hold=0.05)
+        a = run_campaign(7, 1, scenario=scenario)
+        b = run_campaign(7, 1, scenario=scenario)
         assert a.outcomes[0].plan == b.outcomes[0].plan
-        assert a.outcomes[0].bit_identical and b.outcomes[0].bit_identical
+        assert a.outcomes[0].checks["bitid"] and b.outcomes[0].checks["bitid"]
