@@ -13,10 +13,11 @@ watches the Python heap.  The claims pinned here:
 * ``trace_peak_ratio`` — peak at 10^6 events over peak at 10^4 events.
   Asserted <= 2.0 in-bench: the aggregator's memory is a function of the
   *job count*, not the event count (100x more events, ~1x the memory).
-* ``in_memory_peak_mb`` — the differential twin
-  (:func:`build_report_in_memory`) on a materialized 10^5-event list, for
-  scale: the list path's peak grows linearly with the trace and already
-  dwarfs the streaming ceiling at a tenth of the gated length.
+* ``in_memory_peak_mb`` — the list-materializing oracle
+  (``build_report_in_memory`` in ``tests/trace_oracle.py``) on a
+  materialized 10^5-event list, for scale: the list path's peak grows
+  linearly with the trace and already dwarfs the streaming ceiling at a
+  tenth of the gated length.
 * Event counts and the replayed invariant verdicts are deterministic and
   land in the JSON artifact, so a silent change in what the synthesized
   trace contains is caught by the baseline diff.
@@ -35,13 +36,14 @@ from typing import Iterator
 from repro.algorithms.clairvoyant import simulate_clairvoyant
 from repro.algorithms.nc_uniform import simulate_nc_uniform
 from repro.analysis import format_table
-from repro.analysis.trace_report import build_report, build_report_in_memory
+from repro.analysis.trace_report import build_report
 from repro.core.power import PowerLaw
 from repro.core.shadow import SimulationContext
 from repro.core.tracing import MemoryRecorder, TraceEvent
 from repro.workloads import random_instance
 
 from conftest import emit, emit_json
+from trace_oracle import build_report_in_memory
 
 ALPHA = 3.0
 SEED = 808

@@ -21,9 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..core.engine import ArrayPopulation, SchedulingPolicy
+from ..core.engine import SchedulingPolicy
 from ..core.job import Instance, Job
 from ..core.power import PowerFunction, PowerLaw
 from ..core.schedule import DecaySegment, Schedule, ScheduleBuilder
@@ -140,22 +138,13 @@ class ClairvoyantPolicy(SchedulingPolicy):
 
     Being clairvoyant, it is constructed with the true instance (this is the
     *baseline*, not a non-clairvoyant algorithm) and works for any power
-    function.  Its speed rule is a dot product over the population, so it
-    implements the engine's vectorized protocol: one
-    ``rho . max(true - processed, 0)`` array pass per probe instead of a
-    Python sum over active jobs.
+    function.
     """
-
-    vectorized = True
 
     def __init__(self, instance: Instance, power: PowerFunction) -> None:
         self.instance = instance
         self.power = power
         self._active: set[int] = set()
-        #: per-slot true volumes aligned with the engine's population mirror,
-        #: rebuilt lazily when new slots appear (releases are rare relative
-        #: to integrator steps).
-        self._true: np.ndarray = np.zeros(0, dtype=np.float64)
 
     def on_release(self, t: float, job_id: int, density: float) -> None:
         self._active.add(job_id)
@@ -174,14 +163,3 @@ class ClairvoyantPolicy(SchedulingPolicy):
             for j in self._active
         )
         return self.power.speed(w)
-
-    def speed_population(self, t: float, pop: ArrayPopulation) -> float:
-        n = pop.count
-        if self._true.size != n:
-            self._true = np.array(
-                [self.instance[int(j)].volume for j in pop.job_id[:n]], dtype=np.float64
-            )
-        # Completed jobs sit exactly at their true volume, so they contribute
-        # an exact 0 — no active mask needed.
-        remaining = np.maximum(self._true - pop.volume[:n], 0.0)
-        return self.power.speed(float(np.dot(pop.density[:n], remaining)))

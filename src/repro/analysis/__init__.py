@@ -28,10 +28,7 @@ from .trace_report import (
     InvariantCheck,
     TraceReport,
     build_report,
-    build_report_in_memory,
-    check_event_order,
     format_report,
-    replay_schedule,
 )
 from .verification import ClaimCheck, verify_paper_claims
 from .tables import Table1Row, build_table1, render_table1, theoretical_bound
@@ -75,10 +72,7 @@ __all__ = [
     "InvariantCheck",
     "ComponentStats",
     "build_report",
-    "build_report_in_memory",
-    "check_event_order",
     "format_report",
-    "replay_schedule",
     "StreamOrderError",
     "StreamingReportBuilder",
     "IncrementalScheduleReplayer",

@@ -1,49 +1,54 @@
-"""Single-pass trace aggregators: bounded-memory verification of any-size runs.
+"""Single-pass trace verification: bounded-memory reports of any-size runs.
 
-:func:`repro.analysis.trace_report.build_report` historically materialized
-the whole event list and replayed it several times (once per component, once
-per check).  At the scales the vectorized core and the sharded pool produce —
-10^5–10^6 jobs, millions of events — that costs memory proportional to the
-trace.  The invariants being checked are all expressible as one-pass running
-sums, so this module re-derives the *same report* from a single forward
-iteration with memory bounded by the number of **jobs**, never the number of
-events:
+:func:`repro.analysis.trace_report.build_report` checks the paper's
+invariants from a trace.  They are all expressible as one-pass running
+sums, so this module derives the report from a single forward iteration
+with memory bounded by the number of **jobs**, never the number of events:
 
 * :class:`OrderingChecker` — the per-``(component, kind)`` watermark
   contract, honoring ``shadow_rollback`` / ``shadow_rebuild`` / ``retry``
-  rewind boundaries, exactly as ``check_event_order``.
+  rewind boundaries.
 * :class:`ComponentStatsAggregator` — per-component event counts, kind
   histograms and wall-clock extents.
 * :class:`IncrementalScheduleReplayer` — the heart: an online mirror of
-  ``replay_schedule`` + ``metrics.evaluate`` for one component.  It keeps the
-  online Lemma 3 energy accumulator (segment energies summed in arrival
-  order) and the online Lemma 4 flow accumulator (per-job remaining-volume
-  integrals advanced segment by segment), retiring each job's closed-form
-  state the moment its completion time is fixed.  No segment list is ever
-  stored.
+  ``ScheduleBuilder`` + ``Schedule`` + ``metrics.evaluate`` for one
+  component.  It keeps the online Lemma 3 energy accumulator (segment
+  energies summed in schedule order) and the online Lemma 4 flow
+  accumulator (per-job remaining-volume integrals advanced segment by
+  segment), retiring each job's closed-form state the moment its completion
+  time is fixed.  A segment is held only while a later one could still
+  sort before it.
 * :class:`StreamingReportBuilder` — feeds one event at a time to the above
   and assembles the final :class:`~repro.analysis.trace_report.TraceReport`.
 
-Bit-identity contract
----------------------
+Parity contract
+---------------
 
-The streaming path promises **bit-identical** reports to the in-memory twin
-(``build_report_in_memory``) — same floats, same check verdicts, same error
-objects in the same order.  That is only possible because the mirrored code
-paths perform the *same float operations in the same order*:
+``tests/trace_oracle.py`` keeps the list-materializing replay this module
+replaced: rebuild each component's ``Schedule`` through a
+``ScheduleBuilder``, then ``evaluate`` it.  On every trace whose kept
+segments (positive duration, surviving attempt) do not overlap once sorted
+by ``t0``, the streaming report is ``==`` to the oracle's — same floats,
+same check verdicts — and on every trace the oracle rejects with a
+:class:`~repro.core.errors.ScheduleError`, the streaming path raises one
+with the same message.  That holds because both perform the *same float
+operations in the same order*:
 
-* ``ScheduleBuilder.append``'s clock check and ``Schedule``'s overlap check
-  run online against the previous appended segment; since builder-fed
-  segments arrive with nondecreasing ``t0``, the in-memory stable sort is the
-  identity and arrival order *is* schedule order.  A trace whose segments
-  violate that (strictly decreasing ``t0``) cannot be verified one-pass
-  without reordering sums; it raises :class:`StreamOrderError` directing the
-  caller to the in-memory path.
+* ``ScheduleBuilder.append``'s clock check admits a segment whose ``t0``
+  regresses by up to ``1e-9·max(1, clock)``, and ``Schedule`` then
+  stable-sorts by ``t0``.  The replayer keeps each kept segment in a
+  ``t0``-sorted pending list until ``t0 <= clock - 1e-9·max(1, clock)``:
+  every later segment the clock check accepts starts at or after that
+  horizon, so nothing can still sort before it, and released order *is*
+  schedule order.  Only a segment shorter than the tolerance is ever held
+  past its own arrival; builder-fed traces (nondecreasing ``t0``) pass
+  straight through.  ``Schedule``'s overlap check runs online against the
+  previous released segment.
 * The energy sum, each job's completion-time scan, and each job's
-  remaining-volume integral are accumulated left-to-right exactly as the
-  batch code does; per-job arithmetic is independent across jobs, so
-  transposing the loops (segment-outer instead of job-outer) reproduces the
-  identical operation sequence per job.
+  remaining-volume integral are accumulated left-to-right in schedule order
+  exactly as the batch code does; per-job arithmetic is independent across
+  jobs, so transposing the loops (segment-outer instead of job-outer)
+  reproduces the identical operation sequence per job.
 * ``evaluate``'s completion fallback (a job finishing by accumulated-float
   shortfall at its last touch) clips the integral at the job's *last*
   processed segment; the replayer snapshots the integral state after every
@@ -56,16 +61,26 @@ paths perform the *same float operations in the same order*:
   evaluate NC, per pair) — so consumers that catch ``ScheduleError`` (the
   chaos harness's lemma guard) observe identical behavior.
 
-``tests/test_streaming.py`` proves the contract differentially on the golden
-corpus, including across ``retry`` rewind boundaries and sharded-run event
-streams.
+The contract stops at segments that overlap *inside* the 1e-9 overlap
+tolerance, which both paths accept.  When a job completes inside such an
+overlap, the oracle clips every segment's integral at that completion time,
+known before its integral pass; the replayer learns it only at the
+completing segment, after it has integrated the earlier-starting segment to
+that segment's end.  The flows then differ in the last bits (a minimal
+case streams 0.12500000030000002 where the oracle gives 0.1250000003);
+energies and verdicts agree.  ``tests/test_streaming.py`` proves the
+contract differentially — on the golden corpus, across ``retry``
+boundaries, on random segment streams with sub-tolerance ``t0``
+regressions — and pins that minimal case.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from bisect import insort
+from operator import attrgetter
+from typing import Any
 
-from ..core.errors import ScheduleError
+from ..core.errors import InvalidInstanceError, InvalidPowerFunctionError, ScheduleError
 from ..core.job import Instance, Job
 from ..core.power import PowerLaw
 from ..core.schedule import (
@@ -101,25 +116,30 @@ __all__ = [
 _REL_TOL = 1e-9
 #: Same tolerance ``metrics.validate_schedule`` uses for volume conservation.
 _VOL_TOL = 1e-6
-#: Pre-``run_meta`` replay events are buffered until the header decides the
-#: instance; a real trace writes the header first, so this bound is never
-#: approached in practice.  Crossing it means the trace is not header-first at
-#: scale — use the in-memory path.
-_PRE_META_BUFFER_LIMIT = 65536
+#: Bound on what one pass holds back: replay events buffered until the
+#: ``run_meta`` header decides the instance, and one component's kernel
+#: segments held for re-sorting.  A real trace writes the header first and
+#: regresses ``t0`` only by slivers, so neither bound is approached in
+#: practice.
+_BUFFER_LIMIT = 65536
+
+
+def _malformed(index: int, event: TraceEvent, err: Exception) -> ValueError:
+    return ValueError(
+        f"event {index}: malformed {event.kind} payload: {type(err).__name__}: {err}"
+    )
 
 
 class StreamOrderError(ValueError):
-    """The stream cannot be verified single-pass with bit-identical results.
+    """The stream holds back more than a single pass may buffer.
 
-    Raised when a component's kernel segments arrive with strictly decreasing
-    ``t0`` (the batch path's stable sort would reorder the energy/flow sums)
-    or when replay events overflow the pre-``run_meta`` buffer.  Fall back to
-    ``build_report_in_memory`` on a materialized event list.
+    Raised when replay events overflow the pre-``run_meta`` buffer (or a
+    component's re-sort list); a header-first trace never does.
     """
 
 
 class OrderingChecker:
-    """Online port of ``trace_report.check_event_order`` (same messages)."""
+    """Online per-``(component, kind)`` monotone ``sim_time`` check."""
 
     def __init__(self) -> None:
         self._last: dict[tuple[str, str], float] = {}
@@ -229,7 +249,7 @@ class _JobState:
 
 
 class IncrementalScheduleReplayer:
-    """Online ``replay_schedule`` + ``evaluate`` for one component.
+    """Online ``ScheduleBuilder`` + ``Schedule`` + ``evaluate`` for one component.
 
     Feed ``kernel_eval`` payloads with :meth:`feed`; a supervisor ``retry``
     on the component calls :meth:`reset` (the discarded attempt's segments
@@ -240,7 +260,8 @@ class IncrementalScheduleReplayer:
     component's ``(energy, fractional_flow)``.
 
     Memory is O(jobs): completed jobs retire from the per-segment update set
-    the moment their completion time is fixed, and no segment is retained.
+    the moment their completion time is fixed, and a segment is retained
+    only while a later one could still sort before it.
     """
 
     def __init__(self, component: str, instance: Instance, power: PowerLaw) -> None:
@@ -248,7 +269,7 @@ class IncrementalScheduleReplayer:
         self.instance = instance
         self.power = power
         #: Count of replayed kernel events in the surviving attempt (the
-        #: batch ``replay_schedule`` returns None — no evaluation — when 0).
+        #: batch replay builds no schedule — no evaluation — when 0).
         self.n = 0
         #: First error the batch replay iteration would raise (permanent:
         #: the batch path scans every event, retry or not).
@@ -258,8 +279,8 @@ class IncrementalScheduleReplayer:
     def _reset_attempt(self) -> None:
         self.n = 0
         self._clock = 0.0  # ScheduleBuilder clock mirror
-        self._prev: tuple[float, float] | None = None  # last kept (t0, t1)
-        self._max_t0 = float("-inf")
+        self._pending: list[Segment] = []  # kept segments awaiting release, by t0
+        self._prev: tuple[float, float] | None = None  # last released (t0, t1)
         self._energy: float = 0
         self._build_error: ScheduleError | None = None  # first overlap
         self._seg_violation: ScheduleError | None = None  # first validate hit
@@ -286,20 +307,27 @@ class IncrementalScheduleReplayer:
         except (ScheduleError, ValueError) as err:
             self.poison = err
             return
-        kept = segment.duration > 0
         self._clock = max(self._clock, segment.t1)
         self.n += 1
-        if not kept:
-            return
-        # Schedule.__init__ mirror: arrival order must be schedule order for
-        # the one-pass sums to match the batch path bit for bit.
-        if segment.t0 < self._max_t0:
-            raise StreamOrderError(
-                f"component {self.component!r}: kernel segment t0={segment.t0} "
-                f"arrives after t0={self._max_t0}; the batch path would re-sort "
-                f"— use build_report_in_memory on a materialized event list"
-            )
-        self._max_t0 = segment.t0
+        # Schedule.__init__ mirror: every later segment starts at or after
+        # this horizon, so a kept segment at or before it is in sorted place.
+        horizon = self._clock - _REL_TOL * max(1.0, self._clock)
+        pending = self._pending
+        if segment.duration > 0:
+            if not pending and segment.t0 <= horizon:
+                self._consume(segment)
+                return
+            if len(pending) >= _BUFFER_LIMIT:
+                raise StreamOrderError(
+                    f"component {self.component!r}: more than {_BUFFER_LIMIT} "
+                    f"kernel segments within the clock tolerance of t={self._clock}"
+                )
+            insort(pending, segment, key=attrgetter("t0"))
+        while pending and pending[0].t0 <= horizon:
+            self._consume(pending.pop(0))
+
+    def _consume(self, segment: Segment) -> None:
+        """One kept segment, in schedule order: overlap check and evaluate."""
         if self._prev is not None and self._build_error is None:
             pa, pb = self._prev
             if segment.t0 < pb - _REL_TOL * max(1.0, abs(pb)):
@@ -403,9 +431,12 @@ class IncrementalScheduleReplayer:
         return False
 
     def finalize_replay(self) -> None:
-        """Raise whatever the batch ``replay_schedule`` would have raised."""
+        """Release the held segments; raise whatever the batch replay would."""
         if self.poison is not None:
             raise self.poison
+        for segment in self._pending:
+            self._consume(segment)
+        self._pending.clear()
         if self.n and self._build_error is not None:
             raise self._build_error
 
@@ -450,11 +481,13 @@ class IncrementalScheduleReplayer:
 class StreamingReportBuilder:
     """Drive every aggregator from one forward pass and assemble the report.
 
-    ``feed`` each event in order, then ``finish()`` returns a
-    :class:`~repro.analysis.trace_report.TraceReport` bit-identical to the
-    in-memory twin.  Replay events seen before the ``run_meta`` header are
-    buffered (bounded); the *first* header decides the instance, exactly as
-    ``instance_from_meta`` does.
+    ``feed`` each event in order, then ``finish()`` returns the
+    :class:`~repro.analysis.trace_report.TraceReport`.  Replay events seen
+    before the ``run_meta`` header are buffered (bounded); the *first*
+    header decides the instance, even when it lacks one.  A payload whose
+    shape cannot be replayed (a missing key, a ``null`` field, a malformed
+    instance row, an invalid ``alpha``) raises :class:`ValueError` naming
+    the event's index.
     """
 
     def __init__(self, *, rel_tol: float) -> None:
@@ -464,51 +497,54 @@ class StreamingReportBuilder:
         self._stats = ComponentStatsAggregator()
         self._meta_decided = False
         self._meta: tuple[Instance, PowerLaw] | None = None
-        self._buffer: list[TraceEvent] = []
+        self._buffer: list[tuple[int, TraceEvent]] = []
         self._replayers: dict[str, IncrementalScheduleReplayer] = {}
 
     def feed(self, event: TraceEvent) -> None:
-        self._ordering.feed(self._n, event)
+        index = self._n
+        self._ordering.feed(index, event)
         self._stats.feed(event)
         self._n += 1
         if not self._meta_decided:
             if event.kind == "run_meta":
-                self._decide_meta(event)
+                self._decide_meta(index, event)
                 return
             if (
                 event.kind in ("kernel_eval", "retry")
                 and event.component in _PAIR_COMPONENTS
             ):
-                if len(self._buffer) >= _PRE_META_BUFFER_LIMIT:
+                if len(self._buffer) >= _BUFFER_LIMIT:
                     raise StreamOrderError(
-                        f"more than {_PRE_META_BUFFER_LIMIT} replay events "
-                        f"before any run_meta header — use "
-                        f"build_report_in_memory on a materialized event list"
+                        f"more than {_BUFFER_LIMIT} replay events "
+                        f"before any run_meta header"
                     )
-                self._buffer.append(event)
+                self._buffer.append((index, event))
             return
-        self._route(event)
+        self._route(index, event)
 
-    def _decide_meta(self, event: TraceEvent) -> None:
-        """``instance_from_meta``: the first ``run_meta`` decides, even when
-        it lacks the instance (the batch path stops scanning there too)."""
+    def _decide_meta(self, index: int, event: TraceEvent) -> None:
+        """The first ``run_meta`` decides, even when it lacks the instance
+        (the batch path stops scanning there too)."""
         self._meta_decided = True
         spec = event.payload.get("instance")
         alpha = event.payload.get("alpha")
         if spec is None or alpha is None:
             self._buffer.clear()
             return
-        inst = Instance([Job(int(j), float(r), float(v), float(d)) for j, r, v, d in spec])
-        power = PowerLaw(float(alpha))
+        try:
+            inst = Instance([Job(int(j), float(r), float(v), float(d)) for j, r, v, d in spec])
+            power = PowerLaw(float(alpha))
+        except (TypeError, ValueError, InvalidInstanceError, InvalidPowerFunctionError) as err:
+            raise _malformed(index, event, err) from err
         self._meta = (inst, power)
         for pair in _PAIRS:
             for comp in pair:
                 self._replayers[comp] = IncrementalScheduleReplayer(comp, inst, power)
         buffered, self._buffer = self._buffer, []
-        for buffered_event in buffered:
-            self._route(buffered_event)
+        for buffered_index, buffered_event in buffered:
+            self._route(buffered_index, buffered_event)
 
-    def _route(self, event: TraceEvent) -> None:
+    def _route(self, index: int, event: TraceEvent) -> None:
         if self._meta is None:
             return
         replayer = self._replayers.get(event.component)
@@ -517,7 +553,10 @@ class StreamingReportBuilder:
         if event.kind == "retry":
             replayer.reset()
         elif event.kind == "kernel_eval":
-            replayer.feed(event.payload)
+            try:
+                replayer.feed(event.payload)
+            except (KeyError, TypeError) as err:
+                raise _malformed(index, event, err) from err
 
     def finish(self) -> TraceReport:
         checks: list[InvariantCheck] = []
@@ -571,11 +610,3 @@ class StreamingReportBuilder:
             order_violations=self._ordering.violations,
             energies=energies,
         )
-
-
-def build_report_streaming(events: Iterable[TraceEvent], *, rel_tol: float) -> TraceReport:
-    """One-pass report over any event iterable (list, file, gzip, live tail)."""
-    builder = StreamingReportBuilder(rel_tol=rel_tol)
-    for event in events:
-        builder.feed(event)
-    return builder.finish()

@@ -4,12 +4,12 @@ A trace produced through :mod:`repro.core.tracing` is *self-contained*: the
 ``run_meta`` header carries the instance and power function, and every
 ``kernel_eval`` event carries the full closed-form parameters of the piece it
 describes (``profile``, ``t0``/``t1``, ``x0`` or ``speed``, ``rho``,
-``alpha``).  This module replays those events back into
-:class:`~repro.core.schedule.Schedule` objects and checks the paper's
-invariants *from the trace alone* — no access to the original run objects:
+``alpha``).  This module replays those events — one forward pass through
+:mod:`repro.analysis.streaming` — and checks the paper's invariants *from
+the trace alone*, with no access to the original run objects:
 
 * **Lemma 3** — ``energy(NC) == energy(C)``: both replayed schedules are
-  evaluated with :func:`repro.core.metrics.evaluate` and compared exactly.
+  evaluated as :func:`repro.core.metrics.evaluate` would and compared.
 * **Lemma 4** — ``frac_flow(NC) == frac_flow(C) / (1 - 1/alpha)``.
 * **Ordering** — per ``(component, kind)`` stream, ``sim_time`` is
   nondecreasing except across a ``shadow_rollback`` / ``shadow_rebuild``
@@ -20,9 +20,9 @@ invariants *from the trace alone* — no access to the original run objects:
 Supervised runs (:mod:`repro.runtime.supervisor`) may retry a failed
 attempt: a ``retry`` event on component ``X`` means every ``kernel_eval``
 previously emitted by ``X`` (and its ``X.*`` children) belongs to a
-discarded attempt.  :func:`replay_schedule` honors this by resetting its
-builder at the boundary, so post-recovery invariant checks see only the
-surviving attempt.
+discarded attempt.  The replay honors this by restarting that component at
+the boundary, so post-recovery invariant checks see only the surviving
+attempt.
 
 :func:`build_report` computes all of the above plus a per-component
 wall-time/event breakdown; :func:`format_report` renders it for the CLI.
@@ -33,27 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..core.job import Instance, Job
-from ..core.metrics import evaluate
-from ..core.power import PowerLaw
-from ..core.schedule import (
-    ConstantSegment,
-    DecaySegment,
-    GrowthSegment,
-    Schedule,
-    ScheduleBuilder,
-)
 from ..core.tracing import TraceEvent
 
 __all__ = [
     "InvariantCheck",
     "ComponentStats",
     "TraceReport",
-    "instance_from_meta",
-    "replay_schedule",
-    "check_event_order",
     "build_report",
-    "build_report_in_memory",
     "format_report",
 ]
 
@@ -107,105 +93,6 @@ class TraceReport:
         return not self.order_violations and all(c.holds for c in self.checks)
 
 
-def instance_from_meta(events: list[TraceEvent]) -> tuple[Instance, PowerLaw] | None:
-    """Recover ``(instance, power)`` from the trace's ``run_meta`` header."""
-    for e in events:
-        if e.kind == "run_meta":
-            spec = e.payload.get("instance")
-            alpha = e.payload.get("alpha")
-            if spec is None or alpha is None:
-                return None
-            inst = Instance(
-                [Job(int(j), float(r), float(v), float(d)) for j, r, v, d in spec]
-            )
-            return inst, PowerLaw(float(alpha))
-    return None
-
-
-def replay_schedule(events: list[TraceEvent], component: str) -> Schedule | None:
-    """Rebuild a component's schedule from its ``kernel_eval`` events.
-
-    A ``retry`` event on ``component`` discards everything replayed so far —
-    those kernel pieces belong to a failed, rolled-back attempt."""
-    builder = ScheduleBuilder()
-    n = 0
-    for e in events:
-        if e.kind == "retry" and e.component == component:
-            builder = ScheduleBuilder()
-            n = 0
-            continue
-        if e.kind != "kernel_eval" or e.component != component:
-            continue
-        p = e.payload
-        t0, t1, job = float(p["t0"]), float(p["t1"]), int(p["job"])
-        profile = p["profile"]
-        if profile == "decay":
-            builder.append(
-                DecaySegment(t0, t1, job, float(p["x0"]), float(p["rho"]), float(p["alpha"]))
-            )
-        elif profile == "growth":
-            builder.append(
-                GrowthSegment(t0, t1, job, float(p["x0"]), float(p["rho"]), float(p["alpha"]))
-            )
-        elif profile == "const":
-            builder.append(ConstantSegment(t0, t1, job, float(p["speed"])))
-        else:
-            raise ValueError(f"unknown kernel profile {profile!r} in trace")
-        n += 1
-    return builder.build() if n else None
-
-
-def check_event_order(events: list[TraceEvent]) -> list[str]:
-    """Violations of the per-``(component, kind)`` monotonicity contract.
-
-    A ``shadow_rollback`` or ``shadow_rebuild`` on a component rewinds that
-    component's clock, so it resets the watermark for *all* kinds of that
-    component.  A supervisor ``retry`` restarts a whole attempt from a
-    checkpoint, so it resets every watermark.
-    """
-    last: dict[tuple[str, str], float] = {}
-    violations: list[str] = []
-    for i, e in enumerate(events):
-        if e.kind == "retry":
-            last.clear()
-            continue
-        if e.kind in ("shadow_rollback", "shadow_rebuild"):
-            for key in [k for k in last if k[0] == e.component]:
-                del last[key]
-            continue
-        key = (e.component, e.kind)
-        prev = last.get(key)
-        if prev is not None and e.sim_time < prev:
-            violations.append(
-                f"event {i}: {e.component}/{e.kind} at sim_time={e.sim_time} "
-                f"after {prev} with no rollback boundary"
-            )
-        last[key] = e.sim_time
-    return violations
-
-
-def _component_stats(events: list[TraceEvent]) -> list[ComponentStats]:
-    by_comp: dict[str, list[TraceEvent]] = {}
-    for e in events:
-        by_comp.setdefault(e.component, []).append(e)
-    out = []
-    for comp in sorted(by_comp):
-        evs = by_comp[comp]
-        kinds: dict[str, int] = {}
-        for e in evs:
-            kinds[e.kind] = kinds.get(e.kind, 0) + 1
-        out.append(
-            ComponentStats(
-                component=comp,
-                events=len(evs),
-                by_kind=dict(sorted(kinds.items())),
-                wall_start=min(e.wall_time for e in evs),
-                wall_end=max(e.wall_time for e in evs),
-            )
-        )
-    return out
-
-
 def _close(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
@@ -221,73 +108,16 @@ def build_report(events: Iterable[TraceEvent], *, rel_tol: float = REL_TOL) -> T
     over a (possibly gzip-compressed) file, :func:`~repro.core.tracing.iter_trace`
     over rotated segments, or a live :func:`~repro.core.tracing.follow_jsonl`
     tail.  The report is computed in a **single pass with memory bounded by
-    the number of jobs**, never the number of events, and is bit-identical
-    to :func:`build_report_in_memory` (the pre-streaming implementation,
-    kept as a differential twin — ``tests/test_streaming.py`` proves parity
-    on the golden corpus).
+    the number of jobs**, never the number of events; see
+    :mod:`repro.analysis.streaming` for its parity contract with the
+    list-materializing replay kept in ``tests/trace_oracle.py``.
     """
-    from .streaming import build_report_streaming
+    from .streaming import StreamingReportBuilder
 
-    return build_report_streaming(events, rel_tol=rel_tol)
-
-
-def build_report_in_memory(
-    events: Iterable[TraceEvent], *, rel_tol: float = REL_TOL
-) -> TraceReport:
-    """The original list-materializing implementation of :func:`build_report`.
-
-    Kept as the differential twin for the streaming path (and as the
-    fallback for traces the one-pass replayer refuses, see
-    :class:`~repro.analysis.streaming.StreamOrderError`).  Memory is
-    proportional to the trace; prefer :func:`build_report`.
-    """
-    events = list(events)
-    meta = instance_from_meta(events)
-    checks: list[InvariantCheck] = []
-    energies: dict[str, float] = {}
-    if meta is not None:
-        inst, power = meta
-        for c_comp, nc_comp in _PAIRS:
-            sched_c = replay_schedule(events, c_comp)
-            sched_nc = replay_schedule(events, nc_comp)
-            rep_c = evaluate(sched_c, inst, power) if sched_c is not None else None
-            rep_nc = evaluate(sched_nc, inst, power) if sched_nc is not None else None
-            if rep_c is not None:
-                energies[c_comp] = rep_c.energy
-            if rep_nc is not None:
-                energies[nc_comp] = rep_nc.energy
-            if rep_c is None or rep_nc is None:
-                continue
-            checks.append(
-                InvariantCheck(
-                    name=f"Lemma 3: energy({nc_comp}) == energy({c_comp})",
-                    holds=_close(rep_nc.energy, rep_c.energy, rel_tol),
-                    lhs=rep_nc.energy,
-                    rhs=rep_c.energy,
-                    detail=f"replayed from kernel_eval events, rel_tol={rel_tol:g}",
-                )
-            )
-            if c_comp == "C":
-                # Lemma 4's exact ratio holds only uncapped (the capped ratio
-                # degrades with the cap; see extensions.bounded_speed).
-                factor = 1.0 / (1.0 - 1.0 / power.alpha)
-                expected = rep_c.fractional_flow * factor
-                checks.append(
-                    InvariantCheck(
-                        name="Lemma 4: flow(NC) == flow(C) / (1 - 1/alpha)",
-                        holds=_close(rep_nc.fractional_flow, expected, rel_tol),
-                        lhs=rep_nc.fractional_flow,
-                        rhs=expected,
-                        detail=f"alpha={power.alpha:g}, factor={factor:.6g}",
-                    )
-                )
-    return TraceReport(
-        n_events=len(events),
-        components=_component_stats(events),
-        checks=checks,
-        order_violations=check_event_order(events),
-        energies=energies,
-    )
+    builder = StreamingReportBuilder(rel_tol=rel_tol)
+    for event in events:
+        builder.feed(event)
+    return builder.finish()
 
 
 def format_report(report: TraceReport) -> str:

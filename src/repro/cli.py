@@ -602,18 +602,16 @@ def _cmd_shard(args: argparse.Namespace) -> tuple[str, int]:
     return table + "\n".join(trace_lines), 0 if (bit_identical and trace_ok) else 1
 
 
-def _verify_stream(events, *, progress_every: int, reopen=None) -> tuple[str, int]:
+def _verify_stream(events, *, progress_every: int) -> tuple[str, int]:
     """Stream ``events`` through the one-pass verifier; render report or error.
 
     Progress lines go straight to stdout (the caller's return text follows
-    them); a :class:`~repro.core.errors.ScheduleError` — e.g. a torn final
-    attempt in a live tail — comes back as a nonzero-exit verdict instead of
-    a traceback.  ``reopen`` (a zero-arg callable yielding a fresh iterator
-    over the same trace) enables the in-memory fallback when the one-pass
-    replayer refuses an out-of-order kernel stream.
+    them); a :class:`~repro.core.errors.ScheduleError` or ``ValueError`` — a
+    torn final attempt in a live tail, a malformed payload — comes back as a
+    nonzero-exit verdict instead of a traceback.
     """
-    from .analysis.streaming import StreamOrderError, StreamingReportBuilder
-    from .analysis.trace_report import REL_TOL, build_report_in_memory, format_report
+    from .analysis.streaming import StreamingReportBuilder
+    from .analysis.trace_report import REL_TOL, format_report
     from .core.errors import ScheduleError
 
     builder = StreamingReportBuilder(rel_tol=REL_TOL)
@@ -625,20 +623,7 @@ def _verify_stream(events, *, progress_every: int, reopen=None) -> tuple[str, in
             if progress_every > 0 and n % progress_every == 0:
                 print(f"  ... {n} events verified", flush=True)
         report = builder.finish()
-    except StreamOrderError as exc:
-        # The one-pass replayer refuses out-of-order kernel streams; the
-        # list-materializing twin sorts before summing, so re-read the trace
-        # through it when the source can be reopened.
-        if reopen is None:
-            return (
-                f"streaming replay refused after {n} events: {exc}\n"
-                "(re-run with --replay on the finished trace to use the "
-                "in-memory fallback)",
-                1,
-            )
-        print(f"  streaming replay refused ({exc}); falling back to in-memory")
-        report = build_report_in_memory(reopen())
-    except ScheduleError as exc:
+    except (ScheduleError, ValueError) as exc:
         return (
             f"verified {n} events, then replay FAILED: {exc}\n"
             "(partial or corrupt trace — if the writer is still running, "
@@ -681,9 +666,7 @@ def _cmd_trace(args: argparse.Namespace) -> str | tuple[str, int]:
         raise SystemExit("--replay and --follow are mutually exclusive")
     if args.replay is not None:
         text, code = _verify_stream(
-            _trace_source(args.replay),
-            progress_every=args.progress_every,
-            reopen=lambda: _trace_source(args.replay),
+            _trace_source(args.replay), progress_every=args.progress_every
         )
         return f"replaying {args.replay}\n" + text, code
     if args.follow is not None:

@@ -11,7 +11,7 @@ from .errors import (
     ScheduleError,
     SimulationError,
 )
-from .engine import ArrayPopulation, EngineResult, NumericEngine, SchedulingPolicy
+from .engine import EngineResult, NumericEngine, SchedulingPolicy
 from .job import Instance, Job
 from .metrics import CostReport, evaluate, validate_schedule
 from .oracle import ReleaseInfo, VolumeOracle
@@ -76,7 +76,6 @@ __all__ = [
     "SchedulingPolicy",
     "NumericEngine",
     "EngineResult",
-    "ArrayPopulation",
     "SimulationContext",
     "ClairvoyantShadow",
     "PrefixWeightOracle",

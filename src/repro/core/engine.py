@@ -22,9 +22,6 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-import numpy as np
-import numpy.typing as npt
-
 from .errors import SimulationError
 from .job import Instance
 from .oracle import VolumeOracle
@@ -32,52 +29,11 @@ from .power import PowerFunction
 from .schedule import ConstantSegment, Schedule, ScheduleBuilder
 from .shadow import SimulationContext
 
-__all__ = ["ArrayPopulation", "SchedulingPolicy", "EngineResult", "NumericEngine"]
+__all__ = ["SchedulingPolicy", "EngineResult", "NumericEngine"]
 
 #: Default bound on steps without progress while jobs are active (a policy
 #: running at speed 0 forever); override per engine via ``stall_limit``.
 _STALL_LIMIT_STEPS = 200_000
-
-
-class ArrayPopulation:
-    """Struct-of-arrays mirror of the engine's per-job state.
-
-    Parallel arrays over slots ``[0, count)``: ``job_id``, ``density`` and
-    ``volume`` (the engine stores *processed* volumes).  Slots appear in
-    append order and persist after completion; :meth:`slot_of` is an O(1)
-    dict lookup and appends grow the arrays geometrically.
-    """
-
-    __slots__ = ("job_id", "density", "volume", "count", "_slot")
-
-    def __init__(self, capacity: int = 16) -> None:
-        capacity = max(int(capacity), 1)
-        self.job_id: npt.NDArray[np.int64] = np.zeros(capacity, dtype=np.int64)
-        self.density: npt.NDArray[np.float64] = np.zeros(capacity, dtype=np.float64)
-        self.volume: npt.NDArray[np.float64] = np.zeros(capacity, dtype=np.float64)
-        self.count: int = 0
-        self._slot: dict[int, int] = {}
-
-    def append(self, job_id: int, density: float, volume: float) -> int:
-        """Add one job; returns its slot index."""
-        if job_id in self._slot:
-            raise ValueError(f"job {job_id} already in the population")
-        i = self.count
-        if i >= self.job_id.size:
-            for name in ("job_id", "density", "volume"):
-                old = getattr(self, name)
-                fresh = np.zeros(2 * old.size, dtype=old.dtype)
-                fresh[:i] = old
-                setattr(self, name, fresh)
-        self.job_id[i] = job_id
-        self.density[i] = density
-        self.volume[i] = volume
-        self.count = i + 1
-        self._slot[job_id] = i
-        return i
-
-    def slot_of(self, job_id: int) -> int:
-        return self._slot[job_id]
 
 
 class SchedulingPolicy(ABC):
@@ -94,15 +50,7 @@ class SchedulingPolicy(ABC):
       receives the now-revealed volume);
     * ``select_job`` / ``speed`` are called with monotonically non-decreasing
       times and reflect the policy's current view.
-
-    Policies that can evaluate their speed rule over the whole population in
-    one array pass set :attr:`vectorized` and implement
-    :meth:`speed_population`; the engine then maintains a struct-of-arrays
-    mirror of the processed volumes and calls that instead of :meth:`speed`.
     """
-
-    #: Set by subclasses that implement :meth:`speed_population`.
-    vectorized: bool = False
 
     def bind(self, context: SimulationContext) -> None:
         """Attach the run's shared context (shadow factories + counters).
@@ -125,34 +73,6 @@ class SchedulingPolicy(ABC):
     @abstractmethod
     def speed(self, t: float, processed: dict[int, float]) -> float:
         """Machine speed at time ``t`` given per-job processed volumes."""
-
-    def speed_population(self, t: float, pop: ArrayPopulation) -> float:
-        """Machine speed at time ``t`` from the engine's struct-of-arrays
-        mirror (``pop.volume`` holds per-slot *processed* volumes; slots
-        appear in release order and persist after completion).
-
-        Only called when :attr:`vectorized` is True."""
-        raise NotImplementedError(
-            f"{type(self).__name__} sets vectorized=True but does not "
-            "implement speed_population"
-        )
-
-
-def _prefers_population(policy: SchedulingPolicy) -> bool:
-    """Whether the vectorized speed path may replace ``policy.speed``.
-
-    A subclass that overrides ``speed`` without touching ``speed_population``
-    (a test double, a tweaked rule) must keep its override in charge: walk
-    the MRO and let the most-derived class that defines either method decide.
-    """
-    if not policy.vectorized:
-        return False
-    for klass in type(policy).__mro__:
-        if "speed_population" in klass.__dict__:
-            return True
-        if "speed" in klass.__dict__:
-            return False
-    return False
 
 
 @dataclass(frozen=True)
@@ -214,18 +134,14 @@ class NumericEngine:
         releases = list(oracle.releases())  # FIFO order
         next_release = 0
         processed: dict[int, float] = {}
-        # Struct-of-arrays mirror of ``processed`` for vectorized policies.
-        # The dict stays the source of truth (oracle, interceptor, events);
-        # the mirror exists so the per-step speed probe needs no O(n) dict
-        # copy and the policy can evaluate its rule in one array pass.
-        pop = ArrayPopulation(capacity=len(releases)) if _prefers_population(policy) else None
         active: set[int] = set()
         builder = ScheduleBuilder()
         t = 0.0
         t_phase = 0.0  # time of the last event; the step ramp restarts here
         steps = 0
         stall = 0
-        last_speed = 0.0  # for speed_change events (traced runs only)
+        budget = self.stall_limit + len(releases)  # total steps, progress included
+        last_speed = 0.0  # last nonzero speed (speed_change events, budget error)
         last_job: int | None = None
 
         def fire_releases(now: float) -> None:
@@ -233,8 +149,6 @@ class NumericEngine:
             while next_release < len(releases) and releases[next_release].release <= now + 1e-15:
                 info = releases[next_release]
                 processed[info.job_id] = 0.0
-                if pop is not None:
-                    pop.append(info.job_id, info.density, 0.0)
                 active.add(info.job_id)
                 policy.on_release(info.release, info.job_id, info.density)
                 if rec is not None:
@@ -251,12 +165,15 @@ class NumericEngine:
         fire_releases(t)
         while active or next_release < len(releases):
             steps += 1
-            if steps > self.stall_limit + len(releases):
+            if steps > budget:
                 raise SimulationError(
-                    f"engine exceeded {steps} steps at t={t}; "
-                    "policy likely stalled at zero speed",
+                    f"engine exceeded its step budget of {budget} (stall_limit="
+                    f"{self.stall_limit} + {len(releases)} releases) at t={t}; "
+                    f"last nonzero speed {last_speed:g}",
                     time=t,
                     steps=steps,
+                    budget=budget,
+                    speed=last_speed,
                 )
             if not active:
                 # Idle until the next release.
@@ -300,20 +217,10 @@ class NumericEngine:
             # The probe is clamped to the job's true volume so a coarse step
             # near completion cannot present the policy with an overshot state.
             true_volume = oracle._true_volume(job_id)
-            if pop is None:
-                s0 = policy.speed(t, processed)
-                probe = dict(processed)
-                probe[job_id] = min(processed[job_id] + s0 * h / 2.0, true_volume)
-                s_mid = policy.speed(t + h / 2.0, probe)
-            else:
-                # Probe in place on the mirror: set the half-step volume,
-                # evaluate, restore.  No dict copy per step.
-                slot = pop.slot_of(job_id)
-                s0 = policy.speed_population(t, pop)
-                saved = float(pop.volume[slot])
-                pop.volume[slot] = min(saved + s0 * h / 2.0, true_volume)
-                s_mid = policy.speed_population(t + h / 2.0, pop)
-                pop.volume[slot] = saved
+            s0 = policy.speed(t, processed)
+            probe = dict(processed)
+            probe[job_id] = min(processed[job_id] + s0 * h / 2.0, true_volume)
+            s_mid = policy.speed(t + h / 2.0, probe)
             if s_mid < 0 or not math.isfinite(s_mid):
                 raise SimulationError(
                     f"policy returned invalid speed {s_mid} at t={t}",
@@ -343,10 +250,12 @@ class NumericEngine:
                 fire_releases(t)
                 continue
             stall = 0
-            if rec is not None and (s_mid != last_speed or job_id != last_job):
-                rec.emit(
-                    "speed_change", t, "engine", job=job_id, speed=s_mid, prev_speed=last_speed
-                )
+            if s_mid != last_speed or job_id != last_job:
+                if rec is not None:
+                    rec.emit(
+                        "speed_change", t, "engine", job=job_id, speed=s_mid,
+                        prev_speed=last_speed,
+                    )
                 last_speed = s_mid
                 last_job = job_id
 
@@ -359,8 +268,6 @@ class NumericEngine:
                 dt = max(room, 0.0) / s_mid
                 builder.append(ConstantSegment(t, t + dt, job_id, s_mid))
                 processed[job_id] = true_volume
-                if pop is not None:
-                    pop.volume[pop.slot_of(job_id)] = true_volume
                 t += dt
                 t_phase = t
                 active.discard(job_id)
@@ -382,8 +289,6 @@ class NumericEngine:
                             value=corrupted,
                         )
                     processed[job_id] = corrupted
-                if pop is not None:
-                    pop.volume[pop.slot_of(job_id)] = processed[job_id]
                 t += h
             fire_releases(t)
 

@@ -391,8 +391,9 @@ def verify_campaign_trace(
     :class:`~repro.analysis.streaming.StreamingReportBuilder`, so memory
     stays bounded by one run's job count no matter how long the campaign
     file is.  A run whose replay raises :class:`ScheduleError` (a failed
-    run's torn schedule) is reported with the error instead of a report —
-    the same judgement the live campaign makes.
+    run's torn schedule) or ``ValueError`` (a malformed payload) is reported
+    with the error instead of a report — the same judgement the live
+    campaign makes.
     """
     from ..analysis.streaming import StreamingReportBuilder
 
@@ -403,7 +404,7 @@ def verify_campaign_trace(
     def _finish(hdr: dict[str, Any], b: StreamingReportBuilder) -> None:
         try:
             results.append(RunVerification(header=hdr, report=b.finish(), error=None))
-        except ScheduleError as err:
+        except (ScheduleError, ValueError) as err:
             results.append(RunVerification(header=hdr, report=None, error=str(err)))
 
     for event in _campaign_events(source):
@@ -416,7 +417,7 @@ def verify_campaign_trace(
         if builder is not None:
             try:
                 builder.feed(event)
-            except ScheduleError as err:
+            except (ScheduleError, ValueError) as err:
                 if header is not None:
                     results.append(
                         RunVerification(header=header, report=None, error=str(err))

@@ -27,7 +27,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels as k
-from repro.core.engine import ArrayPopulation
 from repro.core.errors import KernelDomainError
 from repro.core.job import Instance, Job
 from repro.core.shadow import ClairvoyantShadow, SimulationContext
@@ -503,23 +502,3 @@ class TestGoldenCorpusUnderBackends:
         for jid_str, completion in entry["completions"].items():
             got = run.completion_time(int(jid_str))
             assert _rel(got, completion) <= 1e-9, f"job {jid_str} under the reference loop"
-
-
-class TestArrayPopulation:
-    def test_append_grow_and_views(self):
-        pop = ArrayPopulation(capacity=2)
-        for i in range(10):
-            assert pop.append(i, 1.0 + i, 0.0) == i
-        assert pop.count == 10
-        assert pop.slot_of(7) == 7
-        assert pop.job_id[: pop.count].tolist() == list(range(10))
-        assert pop.density[9] == 10.0
-        with pytest.raises(ValueError):
-            pop.append(3, 1.0, 0.0)
-
-    def test_volume_updates_flow_into_weights(self):
-        pop = ArrayPopulation()
-        pop.append(1, 2.0, 3.0)
-        pop.volume[pop.slot_of(1)] = 1.5
-        n = pop.count
-        assert float(np.dot(pop.density[:n], pop.volume[:n])) == 3.0

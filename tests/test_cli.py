@@ -3,6 +3,8 @@ surface — every command exercises the public API end to end)."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -215,7 +217,52 @@ class TestTraceCommand:
             main(["trace", "--case", "nc_uniform/whatever"])
 
 
+def _event(kind: str, component: str, payload: dict) -> dict:
+    return {"kind": kind, "component": component, "sim_time": 0.0,
+            "wall_time": 0.0, "payload": payload}
+
+
+def _meta(instance=([0, 0.0, 10.0, 1.0],), alpha=3.0) -> dict:
+    return _event("run_meta", "harness", {"alpha": alpha, "instance": list(instance)})
+
+
+def _const(t0=1.0, t1=2.0, job=0, profile="const") -> dict:
+    payload = {"profile": profile, "t0": t0, "t1": t1, "job": job, "speed": 1.0}
+    return _event("kernel_eval", "C", payload)
+
+
+#: Traces the streaming verifier must reject as a verdict, not a traceback.
+MALFORMED_TRACES = {
+    "sliver-then-covering-segment": [
+        _meta(), _const(1.0, 1.0 + 5e-10), _const(1.0 - 2e-10, 2.0)
+    ],
+    "unknown-profile": [_meta(), _const(profile="spiral")],
+    "missing-t0": [
+        _meta(),
+        _event("kernel_eval", "C", {"profile": "const", "t1": 2.0, "job": 0, "speed": 1.0}),
+    ],
+    "null-job": [_meta(), _const(job=None)],
+    "three-field-instance-row": [_meta(instance=([0, 0.0, 1.0],))],
+    "negative-volume": [_meta(instance=([0, 0.0, -1.0, 1.0],))],
+    "alpha-not-a-number": [_meta(alpha="x")],
+    "alpha-one": [_meta(alpha=1.0)],
+}
+
+
 class TestTraceStreaming:
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_TRACES))
+    def test_replay_malformed_trace_fails_without_traceback(
+        self, capsys, tmp_path, shape
+    ):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            "".join(json.dumps(e) + "\n" for e in MALFORMED_TRACES[shape])
+        )
+        assert main(["trace", "--replay", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "replay FAILED" in captured.out
+        assert "Traceback" not in captured.err
+
     def test_sink_rotate_writes_segments_then_replays(self, capsys, tmp_path):
         base = tmp_path / "t.jsonl"
         out = run_cli(

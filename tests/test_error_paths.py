@@ -61,6 +61,25 @@ class TestEngineErrors:
         assert err.context["stall_steps"] > 5
         assert "time" in err.context
 
+    def test_step_budget_names_budget_and_last_speed(self):
+        """A policy crawling at a tiny nonzero speed never trips the stall
+        guard; the total step budget stops it, and the error says so."""
+
+        class TinySpeed(_ZeroSpeedPolicy):
+            def speed(self, t, processed):
+                return 1e-9
+
+        inst = Instance([Job(0, 0.0, 1.0, 1.0)])
+        engine = NumericEngine(PowerLaw(3.0), max_step=1e-2, stall_limit=50)
+        with pytest.raises(SimulationError) as exc:
+            engine.run(inst, TinySpeed())
+        err = exc.value
+        assert err.context["budget"] == 51  # stall_limit + one release
+        assert err.context["speed"] == 1e-9
+        assert "step budget of 51" in str(err)
+        assert "last nonzero speed 1e-09" in str(err)
+        assert "stalled" not in str(err)
+
     def test_inactive_job_selection_names_job(self):
         inst = Instance([Job(0, 0.0, 1.0, 1.0)])
         engine = NumericEngine(PowerLaw(3.0), max_step=1e-2)

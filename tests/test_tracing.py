@@ -27,12 +27,7 @@ import pytest
 from repro.algorithms.clairvoyant import simulate_clairvoyant
 from repro.algorithms.nc_general import simulate_nc_general
 from repro.algorithms.nc_uniform import simulate_nc_uniform
-from repro.analysis.trace_report import (
-    build_report,
-    check_event_order,
-    instance_from_meta,
-    replay_schedule,
-)
+from repro.analysis.trace_report import build_report
 from repro.core.job import Instance, Job
 from repro.core.metrics import evaluate
 from repro.core.power import PowerLaw
@@ -59,6 +54,7 @@ from repro.core.tracing import (
 )
 from repro.parallel.nc_par import simulate_nc_par
 from repro.workloads import random_instance
+from trace_oracle import check_event_order, instance_from_meta, replay_schedule
 
 CORPUS_PATH = pathlib.Path(__file__).parent / "data" / "golden_corpus.json"
 
