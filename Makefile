@@ -27,36 +27,38 @@ bench:
 
 # Fast benchmark subset: the shadow-layer speedup gate (writes
 # benchmarks/out/BENCH_general_density.json), the eta/beta ablation, the
-# tracing zero-overhead gate, and the supervisor-overhead gate.
+# tracing zero-overhead gate, the supervisor-overhead gate, and the
+# shard-pool speedup and recovery gates.  Every bench with a gate declares
+# its bounds once, in its module's GATES, and fails the run on a breach.
 bench-smoke:
 	$(PYTEST) benchmarks/bench_general_density.py benchmarks/bench_ablation_eta_beta.py benchmarks/bench_tracing_overhead.py benchmarks/bench_supervisor_overhead.py benchmarks/bench_shard_scale.py --benchmark-only
 
-# The array-core n-scaling curve (writes benchmarks/out/BENCH_scale.json);
-# gated at a 20x fast-vs-scalar floor by check_bench_regression.py.
+# The shadow-loop n-scaling curve (writes benchmarks/out/BENCH_scale.json);
+# the shipped loop's speedup over the tests/shadow_oracle.py reference is
+# gated by the bench's GATES.
 bench-scale:
 	$(PYTEST) benchmarks/bench_scale.py --benchmark-only
 
 # Bounded-memory verification of a >= 10^6-event trace (writes
 # benchmarks/out/BENCH_trace_scale.json); the streaming peak-heap ceiling
-# and its flatness across event counts are gated by check_bench_regression.py.
+# and its flatness across event counts are gated by the bench's GATES.
 bench-trace-scale:
 	$(PYTEST) benchmarks/bench_trace_scale.py --benchmark-only
 
 # In-process load test of the scheduling service (writes
 # benchmarks/out/BENCH_service_load.json); the p99 request-latency ceiling
-# is gated by check_bench_regression.py --max-service-p99-ms.
+# is gated by the bench's GATES.
 bench-service:
 	$(PYTEST) benchmarks/bench_service_load.py --benchmark-only
 
 # Write-ahead journaling overhead and 100-session crash-recovery timing
 # (writes benchmarks/out/BENCH_service_recovery.json); the journal-overhead
-# and restore-time ceilings are gated by check_bench_regression.py
-# --max-journal-overhead / --max-restore-ms.
+# and restore-time ceilings are gated by the bench's GATES.
 bench-service-recovery:
 	$(PYTEST) benchmarks/bench_service_recovery.py --benchmark-only
 
-# Diff the freshly written BENCH_*.json against the committed baselines
-# (deterministic quantities must match; speedups must stay >= 5x).
+# Check every BENCH_*.json against its own declared gates, then diff it
+# against the committed baseline (deterministic quantities must match).
 bench-check:
 	python scripts/check_bench_regression.py
 

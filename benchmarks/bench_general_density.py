@@ -13,7 +13,7 @@ archives wall-clock, shadow-call counters and objective values to
 ``out/BENCH_general_density.json`` — the reference under the ``resume``
 key.  The two must drive the same engine trajectory with objectives inside
 the shadow's documented 1e-12 band, and the incremental layer must be at
-least 5x faster.
+least 5x faster (``GATES``).
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from shadow_oracle import simulate_nc_general_reference
 ALPHA = 3.0
 #: (jobs, seed) pairs for the shadow-layer timing experiment.
 SPEED_CASES = ((50, 301), (80, 301))
-#: acceptance floor for the incremental layer at n >= 50.
-MIN_SPEEDUP = 5.0
+#: The incremental layer must pay for itself: at n >= 50 it is at least 5x
+#: faster than the per-query reference shadow.
+GATES = {"speedup": {"min": 5.0}}
 #: relative objective band between the shipped shadow and the reference.
 AGREEMENT_BAND = 1e-12
 #: the timed shadows, keyed as in the archived JSON.
@@ -157,6 +158,7 @@ def test_general_density(benchmark):
             ],
             "shadow_speed": speed,
         },
+        GATES,
     )
 
     for row in rows:
@@ -171,7 +173,3 @@ def test_general_density(benchmark):
         assert res["engine_steps"] == inc["engine_steps"]
         gap = abs(res["fractional_objective"] - inc["fractional_objective"])
         assert gap <= AGREEMENT_BAND * res["fractional_objective"]
-        # ...and the incremental layer must actually pay for itself.
-        assert r["speedup"] >= MIN_SPEEDUP, (
-            f"incremental shadow only {r['speedup']:.2f}x faster at n={r['jobs']}"
-        )

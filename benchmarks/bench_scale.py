@@ -8,10 +8,9 @@ weight), i.e. O(n^2) per busy period; the shipped loop replaces them with a
 min-heap and an incremental accumulator, O(n log n) total.  The benchmark
 pins both the wall-clock separation and the numerical agreement:
 
-* ``scale_speedup`` — reference / shipped wall clock at the gated point
-  (n = 10^4, all jobs released at t=0 so the active set *is* the
-  population).  Gated at a 20x floor by
-  ``scripts/check_bench_regression.py --min-scale-speedup`` (typical
+* ``scale_speedup`` — reference / shipped wall clock at both n = 10^4
+  points (``front`` releases all jobs at t=0, so the active set *is* the
+  population).  Gated at a 20x floor by the bench's ``GATES`` (typical
   measured separation is >100x).
 * ``max_rel_diff`` — relative disagreement of the final clock between the
   two loops at every point where both run; asserted ≤ 1e-11 here and
@@ -44,13 +43,16 @@ from shadow_oracle import run_c
 
 ALPHA = 3.0
 SEED = 1107
-#: (n, profile, run_reference); the first entry is the gated point.
+#: (n, profile, run_reference); ``scale_speedup`` is gated wherever the
+#: reference runs.
 GRID = (
     (10_000, "front", True),
     (10_000, "bursty", True),
     (100_000, "front", False),
 )
-MIN_SCALE_SPEEDUP = 20.0
+#: The shipped loop must beat the O(n)-scan reference by at least 20x
+#: wherever both are timed.
+GATES = {"scale_speedup": {"min": 20.0}}
 #: full-run clock band: per-kernel 1e-12 compounded over ~1e4 events.
 AGREEMENT_BAND = 1e-11
 
@@ -143,16 +145,11 @@ def test_scale(benchmark):
         ],
     )
     emit("scale", table)
-    emit_json("scale", {"grid": records, "speedup_floor": MIN_SCALE_SPEEDUP})
+    emit_json("scale", {"grid": records}, GATES)
 
     for r in records:
         if "max_rel_diff" in r:
             assert r["max_rel_diff"] <= AGREEMENT_BAND, (
                 f"reference disagreement {r['max_rel_diff']:.2e} beyond the "
                 f"{AGREEMENT_BAND:g} band at n={r['n']}/{r['profile']}"
-            )
-        if "scale_speedup" in r:
-            assert r["scale_speedup"] >= MIN_SCALE_SPEEDUP, (
-                f"shipped loop only {r['scale_speedup']:.1f}x over the reference at "
-                f"n={r['n']}/{r['profile']} — below the {MIN_SCALE_SPEEDUP:g}x floor"
             )

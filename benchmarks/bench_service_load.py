@@ -9,8 +9,8 @@ validation, session locking, shadow advancement, serialization).
 The claims pinned here:
 
 * ``service_p99_ms`` — 99th-percentile request latency over the mixed load.
-  Gated one-sided by ``scripts/check_bench_regression.py
-  --max-service-p99-ms``: CI fails if the tail exceeds the committed ceiling.
+  Gated one-sided by the bench's ``GATES``: the run fails if the tail
+  exceeds the committed ceiling.
 * ``service_p50_ms`` / ``requests_per_s`` — recorded alongside (host
   dependent, excluded from the baseline diff like every timing number).
 * The request counts per endpoint class and the count of non-2xx responses
@@ -46,6 +46,9 @@ REQUESTS = 600
 WARMUP = 60
 #: Every Nth arrival also queries full metrics (the expensive endpoint).
 METRICS_EVERY = 20
+#: The mixed-load p99 tail stays under 25 ms (the measured baseline is well
+#: under 2 ms).
+GATES = {"service_p99_ms": {"max": 25.0}}
 
 
 def _percentile(sorted_ms: list[float], q: float) -> float:
@@ -163,10 +166,7 @@ def test_service_load(benchmark):
         f"{result['requests']} in-process requests ({result['errors']} errors)",
     )
     emit("service_load", table)
-    emit_json("service_load", result)
+    emit_json("service_load", result, GATES)
 
     assert result["errors"] == 0
     assert result["requests"] >= REQUESTS
-    # Sanity ceiling far above any healthy run; the sharp gate lives in
-    # scripts/check_bench_regression.py --max-service-p99-ms.
-    assert result["service_p99_ms"] < 1000.0

@@ -1,24 +1,22 @@
 """Journaling overhead and crash-recovery speed of the durable service.
 
-Two claims, both gated by ``scripts/check_bench_regression.py``:
+Two claims, both gated by the bench's ``GATES``:
 
 * ``journal_overhead`` — the p99 request latency of a journaled service
   divided by an unjournaled twin's, over the same paired mixed load
   (arrival submits, speed queries, periodic full metrics — the
   ``bench_service_load`` mix; interleaved A/B so host noise hits both
   arms).  The write-ahead journal flushes one canonical-JSON + SHA-256
-  line per batch *before* the ack; the gate (``--max-journal-overhead``,
-  default 1.10) keeps that durability tax under 10% at the service's
-  tail.  Submit-only percentiles are recorded alongside as diagnostics —
-  at tens of microseconds per bare submit, the mandatory pre-ack flush
-  is a visible fraction there by construction, which is why the gate
-  reads the user-visible mixed tail.
+  line per batch *before* the ack; the gate keeps that durability tax
+  under 10% at the service's tail.  Submit-only percentiles are recorded
+  alongside as diagnostics — at tens of microseconds per bare submit, the
+  mandatory pre-ack flush is a visible fraction there by construction,
+  which is why the gate reads the user-visible mixed tail.
 * ``restore_100_sessions_ms`` — wall-clock for
   :meth:`~repro.service.sessions.SessionManager.restore` to rebuild 100
   journaled sessions (deterministic replay through the normal submit
-  drive, re-journaling as it goes).  Gated one-sided by
-  ``--max-restore-ms``: recovery is part of the availability budget, so a
-  restart must not silently become minutes.
+  drive, re-journaling as it goes).  Gated one-sided: recovery is part of
+  the availability budget, so a restart must not silently become minutes.
 
 Latency percentiles are host-dependent and excluded from the baseline
 diff like every timing number; the *ratio* and the deterministic counts
@@ -61,6 +59,13 @@ def _percentile(sorted_ms: list[float], q: float) -> float:
 
 #: Every Nth arrival also queries full metrics (the expensive endpoint).
 METRICS_EVERY = 20
+#: Write-ahead durability may cost at most 10% at the mixed-load p99, and a
+#: cold restore of 100 journaled sessions stays under 5 s: recovery time is
+#: part of the availability budget.
+GATES = {
+    "journal_overhead": {"max": 1.10},
+    "restore_100_sessions_ms": {"max": 5000.0},
+}
 
 
 async def _drive_pair(tmp_path) -> dict:
@@ -208,13 +213,8 @@ def test_service_recovery(benchmark, tmp_path):
         f"mixed requests ({result['errors']} errors)",
     )
     emit("service_recovery", table)
-    emit_json("service_recovery", result)
+    emit_json("service_recovery", result, GATES)
 
     assert result["errors"] == 0
     assert result["restore_sessions"] == RESTORE_SESSIONS
     assert result["restore_skipped"] == 0
-    # Sanity ceilings far above any healthy run; the sharp gates live in
-    # scripts/check_bench_regression.py (--max-journal-overhead,
-    # --max-restore-ms).
-    assert result["journal_overhead"] < 5.0
-    assert result["restore_100_sessions_ms"] < 60_000.0

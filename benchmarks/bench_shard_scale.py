@@ -15,17 +15,16 @@ itself contributes — dispatch, heartbeats, result transport, respawn — and
 is reproducible on any machine.  The per-machine schedule derivation (real
 CPU work) rides along in both variants and is bit-identity-checked.
 
-Gated statistics (``scripts/check_bench_regression.py``):
+Gated statistics (the bench's ``GATES``):
 
 * ``shard_pool_speedup_largest`` — serial / pool wall clock at the largest
-  grid point; the pool must beat serial shard-at-a-time execution
-  (floor 1.0, the ISSUE's "pool beats serial" acceptance).
+  grid point; the pool must beat serial shard-at-a-time execution.
 * ``shard_recovery_overhead`` — killed-worker pool run / clean pool run at
   the largest grid point; recovering a lost shard (detect, respawn,
   re-dispatch, recompute) must stay under a 4x ceiling.
 
-Both are wall-clock-derived, so like ``speedup``/``supervised_overhead``
-they are never diffed against baselines — only the one-sided gates apply.
+Both are wall-clock-derived, so like every gated key they are never diffed
+against baselines — only the one-sided gates apply.
 """
 
 from __future__ import annotations
@@ -52,8 +51,13 @@ WORKERS = 2
 SHARD_HOLD = 0.12
 #: (machines, jobs, seed) grid; the last entry is the gated "largest" point.
 GRID = ((2, 32, 501), (4, 64, 502))
-MIN_POOL_SPEEDUP = 1.0
-MAX_RECOVERY_OVERHEAD = 4.0
+#: At the largest grid point the supervised pool must beat shard-at-a-time
+#: serial execution, and recovering a SIGKILLed worker may cost at most 4x
+#: the clean pool run.
+GATES = {
+    "shard_pool_speedup_largest": {"min": 1.0},
+    "shard_recovery_overhead": {"max": 4.0},
+}
 _TIMING_ROUNDS = 3
 
 _POLICY = PoolPolicy(
@@ -212,7 +216,8 @@ def test_shard_scale(benchmark):
         rows,
         title=f"sharded execution, hold={SHARD_HOLD}s, {WORKERS} workers "
         f"(median of {_TIMING_ROUNDS} paired rounds; gates: pool speedup >= "
-        f"{MIN_POOL_SPEEDUP}, recovery <= {MAX_RECOVERY_OVERHEAD}x)",
+        f"{GATES['shard_pool_speedup_largest']['min']}, recovery <= "
+        f"{GATES['shard_recovery_overhead']['max']}x)",
         floatfmt=".4f",
     )
     emit("shard_scale", table)
@@ -222,21 +227,9 @@ def test_shard_scale(benchmark):
             "alpha": ALPHA,
             "workers": WORKERS,
             "shard_hold_s": SHARD_HOLD,
-            "min_pool_speedup": MIN_POOL_SPEEDUP,
-            "max_recovery_overhead": MAX_RECOVERY_OVERHEAD,
             "grid": [dict(r) for r in records],
             "shard_pool_speedup_largest": records[-1]["shard_pool_speedup"],
             "recovery": recovery,
         },
-    )
-
-    assert records[-1]["shard_pool_speedup"] >= MIN_POOL_SPEEDUP, (
-        f"pool {records[-1]['shard_pool_speedup']:.3f}x serial at the largest "
-        f"grid point — the supervised pool is slower than shard-at-a-time "
-        f"serial execution"
-    )
-    assert recovery["shard_recovery_overhead"] <= MAX_RECOVERY_OVERHEAD, (
-        f"recovering a SIGKILLed worker cost "
-        f"{recovery['shard_recovery_overhead']:.3f}x the clean pool run "
-        f"(ceiling {MAX_RECOVERY_OVERHEAD}x)"
+        GATES,
     )

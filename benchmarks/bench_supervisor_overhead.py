@@ -13,8 +13,8 @@ Acceptance: the supervised run stays within 5% of the unsupervised
 baseline.  The differential contract already makes the two *bit-identical*
 in outputs (``tests/test_supervisor.py``); this benchmark holds the price of
 that contract — one checkpoint, ``None`` hook reads, and read-only guards —
-to near zero.  ``scripts/check_bench_regression.py`` enforces the same
-ceiling on the emitted ``supervised_overhead`` value in CI.
+to near zero.  The ceiling is the bench's ``GATES``, checked when the
+artifact is written and again by ``scripts/check_bench_regression.py`` in CI.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from conftest import emit, emit_json
 
 ALPHA = 3.0
 CASES = ((1000, 401), (2000, 402))
-#: acceptance ceiling: supervised wall-clock / unsupervised wall-clock.
-MAX_SUPERVISED_OVERHEAD = 1.05
+#: Supervised / unsupervised wall clock: above 5% the supervisor is doing
+#: work on the hot path.
+GATES = {"supervised_overhead": {"max": 1.05}}
 _TIMING_ROUNDS = 31
 
 
@@ -102,22 +103,8 @@ def test_supervisor_overhead(benchmark):
         ["case", "unsupervised [s]", "supervised [s]", "ratio"],
         rows,
         title=f"supervisor overhead on NC (median ratio over {_TIMING_ROUNDS} "
-        f"paired rounds, gate: ratio <= {MAX_SUPERVISED_OVERHEAD})",
+        f"paired rounds, gate: ratio <= {GATES['supervised_overhead']['max']})",
         floatfmt=".4f",
     )
     emit("supervisor_overhead", table)
-    emit_json(
-        "supervisor_overhead",
-        {
-            "alpha": ALPHA,
-            "max_supervised_overhead": MAX_SUPERVISED_OVERHEAD,
-            "cases": records,
-        },
-    )
-
-    for r in records:
-        assert r["supervised_overhead"] <= MAX_SUPERVISED_OVERHEAD, (
-            f"supervised no-fault run {r['supervised_overhead']:.3f}x the "
-            f"unsupervised baseline at n={r['jobs']} — the supervisor is doing "
-            f"work on the hot path"
-        )
+    emit_json("supervisor_overhead", {"alpha": ALPHA, "cases": records}, GATES)

@@ -18,9 +18,14 @@ import pytest
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 
 # The speed gates time the shipped code against the reference implementations
-# in tests/shadow_oracle.py.  Appended, not prepended, so ``conftest`` keeps
-# resolving to this file.
-sys.path.append(str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
+# in tests/shadow_oracle.py, and every declared gate is checked by the same
+# loop as scripts/check_bench_regression.py.  Appended, not prepended, so
+# ``conftest`` keeps resolving to this file.
+_REPO = pathlib.Path(__file__).resolve().parent.parent
+sys.path.append(str(_REPO / "tests"))
+sys.path.append(str(_REPO / "scripts"))
+
+from check_bench_regression import gate_problems  # noqa: E402
 
 
 def emit(name: str, text: str) -> None:
@@ -32,15 +37,22 @@ def emit(name: str, text: str) -> None:
     (OUT_DIR / f"{name}.txt").write_text(text + "\n")
 
 
-def emit_json(name: str, payload: dict) -> None:
-    """Archive a machine-readable companion to :func:`emit`.
+def emit_json(name: str, payload: dict, gates: dict | None = None) -> None:
+    """Archive a machine-readable companion to :func:`emit`, then gate it.
 
     Written to ``benchmarks/out/BENCH_<name>.json`` — wall-clock numbers,
-    shadow-call counters and objective values that downstream tooling (or the
-    next session's regression check) can diff without parsing tables.
+    shadow-call counters and objective values that downstream tooling (and
+    ``scripts/check_bench_regression.py``) can diff without parsing tables.
+    ``gates`` (the bench's ``GATES``, e.g. ``{"scale_speedup": {"min": 20.0}}``)
+    lands in the artifact as its ``"gates"`` block; the artifact is written
+    first, so a breach still leaves the measured numbers on disk.
     """
+    if gates is not None:
+        payload = {**payload, "gates": gates}
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / f"BENCH_{name}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    problems = gate_problems(f"BENCH_{name}.json", payload)
+    assert not problems, "\n".join(problems)
 
 
 @pytest.fixture
