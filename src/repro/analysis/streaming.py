@@ -15,8 +15,9 @@ with memory bounded by the number of **jobs**, never the number of events:
   component.  It keeps the online Lemma 3 energy accumulator (segment
   energies summed in schedule order) and the online Lemma 4 flow
   accumulator (per-job remaining-volume integrals advanced segment by
-  segment), retiring each job's closed-form state the moment its completion
-  time is fixed.  A segment is held only while a later one could still
+  segment), admitting each job at its release and retiring its closed-form
+  state the moment its completion time is fixed, so each segment costs
+  O(live jobs).  A segment is held only while a later one could still
   sort before it.
 * :class:`StreamingReportBuilder` — feeds one event at a time to the above
   and assembles the final :class:`~repro.analysis.trace_report.TraceReport`.
@@ -259,9 +260,11 @@ class IncrementalScheduleReplayer:
     would have raised — in the batch path's order — then returns the
     component's ``(energy, fractional_flow)``.
 
-    Memory is O(jobs): completed jobs retire from the per-segment update set
-    the moment their completion time is fixed, and a segment is retained
-    only while a later one could still sort before it.
+    Memory is O(jobs), and each segment costs O(live jobs): a job joins the
+    per-segment update set when the first segment ending after its release
+    arrives (every earlier segment leaves its accumulators untouched) and
+    retires from it the moment its completion time is fixed.  A segment is
+    retained only while a later one could still sort before it.
     """
 
     def __init__(self, component: str, instance: Instance, power: PowerLaw) -> None:
@@ -274,6 +277,10 @@ class IncrementalScheduleReplayer:
         #: First error the batch replay iteration would raise (permanent:
         #: the batch path scans every event, retry or not).
         self.poison: Exception | None = None
+        #: ``(job, segment)`` integral steps taken so far, across attempts:
+        #: the replay's work, linear in the segments when jobs are admitted
+        #: at release.
+        self.integral_steps = 0
         self._reset_attempt()
 
     def _reset_attempt(self) -> None:
@@ -287,7 +294,11 @@ class IncrementalScheduleReplayer:
         self._jobs: dict[int, _JobState] = {
             job.job_id: _JobState(job) for job in self.instance
         }
-        self._active: dict[int, _JobState] = dict(self._jobs)
+        # Jobs not yet admitted, earliest release last, so admission pops.
+        self._unreleased: list[_JobState] = sorted(
+            self._jobs.values(), key=lambda js: js.job.release, reverse=True
+        )
+        self._active: dict[int, _JobState] = {}
 
     def reset(self) -> None:
         """A ``retry`` boundary: discard the failed attempt entirely."""
@@ -384,6 +395,11 @@ class IncrementalScheduleReplayer:
             else:
                 seg_state.remaining_ct -= v
                 seg_state.last_end = segment.t1
+        unreleased = self._unreleased
+        while unreleased and unreleased[-1].job.release < segment.t1:
+            js = unreleased.pop()
+            self._active[js.job.job_id] = js
+        self.integral_steps += len(self._active)
         retired: list[int] = []
         for job_id, js in self._active.items():
             if self._advance_integral(js, segment):

@@ -129,11 +129,15 @@ def evaluate(
 def _remaining_volume_integral(
     schedule: Schedule, job_id: int, release: float, completion: float, volume: float
 ) -> float:
-    """``∫_{release}^{completion} V_j(t) dt`` computed exactly segment by segment."""
+    """``∫_{release}^{completion} V_j(t) dt`` computed exactly segment by segment.
+
+    Only the job's window is visited: every segment outside it would take
+    the ``continue`` below, so the float operations are those of a full scan.
+    """
     total = 0.0
     remaining = volume
     cursor = release
-    for seg in schedule:
+    for seg in schedule.window(release, completion):
         if seg.t1 <= cursor or seg.t0 >= completion:
             continue
         a = max(seg.t0, cursor)

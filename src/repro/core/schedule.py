@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -359,16 +360,40 @@ class Schedule:
     """An immutable, time-ordered, gap-explicit sequence of segments.
 
     Gaps between consecutive segments are permitted (treated as idle); overlap
-    is not.  Use :class:`ScheduleBuilder` to construct one incrementally.
+    is not, beyond the ``1e-9`` relative slack the overlap check allows.  Use
+    :class:`ScheduleBuilder` to construct one incrementally.
+
+    Construction also indexes the segments, so every query costs the size of
+    what it answers rather than the size of the schedule: each job's own
+    segments (in schedule order), the sorted ``t0`` array, and the running
+    maximum of ``t1``.  ``t1`` alone is not monotone — a segment may end a
+    sliver after the next one starts — but its running maximum is, and every
+    segment before the first index whose running maximum exceeds ``t`` ends
+    at or before ``t``.
     """
 
     def __init__(self, segments: Iterable[Segment]) -> None:
         segs = [s for s in segments if s.duration > 0]
         segs.sort(key=lambda s: s.t0)
-        for a, b in zip(segs, segs[1:]):
-            if b.t0 < a.t1 - _REL_TOL * max(1.0, abs(a.t1)):
-                raise ScheduleError(f"segments overlap: [{a.t0},{a.t1}] then [{b.t0},{b.t1}]")
+        by_job: dict[int | None, list[Segment]] = {}
+        t0s: list[float] = []
+        t1_max: list[float] = []
+        reach = -math.inf
+        prev: Segment | None = None
+        for s in segs:
+            if prev is not None and s.t0 < prev.t1 - _REL_TOL * max(1.0, abs(prev.t1)):
+                raise ScheduleError(
+                    f"segments overlap: [{prev.t0},{prev.t1}] then [{s.t0},{s.t1}]"
+                )
+            prev = s
+            by_job.setdefault(s.job_id, []).append(s)
+            t0s.append(s.t0)
+            reach = max(reach, s.t1)
+            t1_max.append(reach)
         self._segments: tuple[Segment, ...] = tuple(segs)
+        self._by_job = {job: tuple(group) for job, group in by_job.items()}
+        self._t0s = t0s
+        self._t1_max = t1_max
 
     # -- container protocol -------------------------------------------------
 
@@ -388,8 +413,18 @@ class Schedule:
 
     # -- queries -------------------------------------------------------------
 
+    def window(self, start: float, end: float) -> tuple[Segment, ...]:
+        """The segments, in schedule order, that can reach into ``(start, end)``.
+
+        Every segment left out ends at or before ``start`` or starts at or
+        after ``end``; a segment kept may still miss the interval (an
+        earlier, longer one can carry the running maximum of ``t1``)."""
+        lo = bisect_right(self._t1_max, start)
+        hi = bisect_left(self._t0s, end)
+        return self._segments[lo:hi]
+
     def job_segments(self, job_id: int) -> tuple[Segment, ...]:
-        return tuple(s for s in self._segments if s.job_id == job_id)
+        return self._by_job.get(job_id, ())
 
     def processed_volume(self, job_id: int) -> float:
         return sum(s.volume() for s in self.job_segments(job_id))
@@ -397,9 +432,7 @@ class Schedule:
     def processed_volume_until(self, job_id: int, t: float) -> float:
         """Volume of ``job_id`` processed by absolute time ``t``."""
         total = 0.0
-        for s in self._segments:
-            if s.job_id != job_id:
-                continue
+        for s in self.job_segments(job_id):
             if s.t1 <= t:
                 total += s.volume()
             elif s.t0 < t:
@@ -411,9 +444,7 @@ class Schedule:
         reaches ``volume`` (within relative tolerance)."""
         remaining = volume
         last_end: float | None = None
-        for s in self._segments:
-            if s.job_id != job_id:
-                continue
+        for s in self.job_segments(job_id):
             v = s.volume()
             if v >= remaining * (1 - 1e-9):
                 return s.t0 + s.time_to_volume(min(remaining, v))
@@ -429,8 +460,15 @@ class Schedule:
         )
 
     def speed_at(self, t: float) -> float:
-        """Machine speed at absolute time ``t`` (0 in gaps / outside)."""
-        for s in self._segments:
+        """Machine speed at absolute time ``t`` (0 in gaps / outside).
+
+        At a boundary shared by two segments the *earlier* segment wins: the
+        speed is that of the first segment in schedule order with
+        ``t0 <= t <= t1``.
+        """
+        lo = bisect_left(self._t1_max, t)
+        hi = bisect_right(self._t0s, t)
+        for s in self._segments[lo:hi]:
             if s.t0 <= t <= s.t1:
                 return s.speed_at(t)
         return 0.0
@@ -438,14 +476,18 @@ class Schedule:
     def job_at(self, t: float) -> int | None:
         """The job running at absolute time ``t`` (``None`` when idle).
 
-        At segment boundaries the later segment wins, matching the convention
-        that completions happen at the instant the boundary is reached.
+        At a boundary shared by two segments the *later* segment wins — the
+        last segment in schedule order with ``t0 <= t < t1`` — matching the
+        convention that completions happen at the instant the boundary is
+        reached.  So :meth:`speed_at` and ``job_at`` disagree exactly at
+        boundaries.
         """
-        answer: int | None = None
-        for s in self._segments:
+        lo = bisect_right(self._t1_max, t)
+        hi = bisect_right(self._t0s, t)
+        for s in reversed(self._segments[lo:hi]):
             if s.t0 <= t < s.t1:
-                answer = s.job_id
-        return answer
+                return s.job_id
+        return None
 
 
 class ScheduleBuilder:

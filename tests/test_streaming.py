@@ -12,7 +12,9 @@ retry boundaries, with shard lifecycle events mixed in, on the capped
 (C_capped, NC_capped) pair, on random segment streams with sub-tolerance
 `t0` regressions, and on every error class the replayer distinguishes —
 and pin the one documented gap: a job completing inside an overlap that the
-1e-9 tolerance admits.
+1e-9 tolerance admits.  They also pin that jobs join the replay at their
+release: a never-admitted job fails as the oracle does, a `retry` restores
+the unreleased list, and the replay's work is linear in the segments.
 """
 
 from __future__ import annotations
@@ -499,3 +501,67 @@ class TestBoundedMemory:
         assert pulls == len(events)
         assert report.n_events == len(events)
         assert report.ok
+
+
+def _replay(
+    inst: Instance, events: list[TraceEvent], component: str
+) -> IncrementalScheduleReplayer:
+    replayer = IncrementalScheduleReplayer(component, inst, PowerLaw(3.0))
+    for e in events:
+        if e.kind == "kernel_eval" and e.component == component:
+            replayer.feed(e.payload)
+    return replayer
+
+
+class TestAdmissionAtRelease:
+    """Jobs join the replayer's per-segment update set at their release, so
+    a segment costs O(live jobs) and a replay O(segments x live jobs)."""
+
+    def test_job_released_after_last_segment_never_accumulates(self):
+        """Never admitted, the job still fails exactly as the batch path
+        does: its volume is under the conservation tolerance, so the error
+        comes from the completion scan."""
+        _, inst, alpha = _corpus_cases()[0]
+        events = _traced_pair(inst, alpha)
+        end = max(float(e.payload["t1"]) for e in events if e.kind == "kernel_eval")
+        late = Instance(list(inst) + [Job(max(inst.job_ids) + 1, end + 1.0, 1e-7)])
+        events[0] = _meta(late, alpha)
+        with pytest.raises(ScheduleError, match="never accumulates volume 1e-07"):
+            build_report(iter(events))
+        _assert_error_parity(events)
+
+    def test_retry_mid_stream_restores_unreleased(self):
+        inst = random_instance(12, seed=4, volume="exponential", density="unit")
+        events = _traced_pair(inst, 3.0)
+        kernels = [e for e in events if e.kind == "kernel_eval" and e.component == "C"]
+        half = kernels[: len(kernels) // 2]
+        replayer = _replay(inst, half, "C")
+        assert len(replayer._unreleased) < len(inst)
+        replayer.reset()
+        assert len(replayer._unreleased) == len(inst) and not replayer._active
+        for e in kernels:
+            replayer.feed(e.payload)
+        fresh = _replay(inst, kernels, "C")
+        for r in (replayer, fresh):
+            r.finalize_replay()
+        assert replayer.finalize_eval() == fresh.finalize_eval()
+        # And through the report: the failed half-attempt leaves no trace.
+        retried = [events[0], *half, _retry("C"), *events[1:]]
+        assert build_report(iter(retried)).checks == build_report(iter(events)).checks
+        _assert_parity(retried)
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_integral_steps_linear_in_segments(self, n):
+        """Steps per replayed segment is the mean number of live jobs, not
+        the job count: 3.2x at both sizes here, where admitting every job
+        up front took 251x and 998x (about n/2)."""
+        inst = random_instance(n, seed=1, volume="uniform", density="unit")
+        events = _traced_pair(inst, 3.0)
+        steps = segments = 0
+        for component in ("C", "NC"):
+            replayer = _replay(inst, events, component)
+            steps += replayer.integral_steps
+            segments += sum(
+                1 for e in events if e.kind == "kernel_eval" and e.component == component
+            )
+        assert steps <= 4 * segments

@@ -4,8 +4,9 @@
 forward pass (:mod:`repro.analysis.streaming`).  This module keeps the
 straightforward implementation it replaced — materialize the event list,
 rebuild each component's :class:`~repro.core.schedule.Schedule` through a
-:class:`~repro.core.schedule.ScheduleBuilder` and run
-:func:`~repro.core.metrics.evaluate` on it — as an independent reference:
+:class:`~repro.core.schedule.ScheduleBuilder` and score it with the
+full-scan ``evaluate`` of ``schedule_oracle.py`` — as an independent
+reference:
 
 * :func:`instance_from_meta` — the first ``run_meta`` header's instance and
   power law;
@@ -35,7 +36,6 @@ from repro.analysis.trace_report import (
     _close,
 )
 from repro.core.job import Instance, Job
-from repro.core.metrics import evaluate
 from repro.core.power import PowerLaw
 from repro.core.schedule import (
     ConstantSegment,
@@ -45,6 +45,7 @@ from repro.core.schedule import (
     ScheduleBuilder,
 )
 from repro.core.tracing import TraceEvent
+from schedule_oracle import evaluate
 
 __all__ = [
     "instance_from_meta",
