@@ -23,16 +23,31 @@ Unlike the uniform case there is no closed form — the speed at ``t`` depends
 on a *shadow simulation* of Algorithm C over the evolving instance — so this
 runs on the generic numeric engine.
 
-The shadow is a live :class:`~repro.core.shadow.ClairvoyantShadow` per
-*epoch* (a maximal interval over which NC processes one job ``j*`` and no
-release/completion intervenes).  Only ``j*``'s weight in ``I(t)`` changes
-during an epoch and ``j*`` enters C's run at its own release ``r*``, so the
-shadow is checkpointed at ``r*`` once and every engine-step query is a
-rollback + insert-``j*`` + advance-to-``t`` over a handful of events — no
-per-query ``Instance`` construction or schedule building.
-``tests/shadow_oracle.py`` holds a reference policy that runs a fresh C
-simulation per query instead; the tests and ``bench_general_density.py``
-compare this shadow against it.
+The shadow is one :class:`~repro.core.shadow.EpochShadow` per run.  An
+*epoch* is a maximal interval over which NC processes one job ``j*`` and no
+release/completion intervenes.  Only ``j*``'s weight in ``I(t)`` changes
+during an epoch and ``j*`` enters C's run at its own release ``r*``, so
+each epoch starts from a *base*: C's run on the other jobs of ``I(t)``,
+checkpointed at ``r*``.
+
+* **Rebuilds resume.**  Between two epochs the other jobs change in only
+  two places: the previous ``j*`` (its weight grew) and the new one (it
+  leaves the set).  C's run is unchanged up to the last release before
+  the earlier of those releases and ``r*``, so a rebuild resumes from the
+  raw snapshot the shadow kept there and replays only the events after
+  it, instead of C's whole history from ``t = 0``.
+* **Queries are one piece.**  Every engine-step query admits ``j*`` with
+  its latest processed weight at ``r*`` and reads C's weight at ``t``.
+  When the first decay piece after the base spans ``t`` (no completion
+  and no admission due before it) the answer is a closed form over
+  per-base constants; otherwise the shadow rolls back to the base and runs
+  its event loop.
+
+Both shortcuts keep every float of a from-scratch rebuild and a
+restore-and-loop query.  ``tests/shadow_oracle.py`` holds the
+from-scratch rebuild as an oracle and a reference policy that runs a
+fresh C simulation per query; the tests and ``bench_general_density.py``
+compare this shadow against them.
 """
 
 from __future__ import annotations
@@ -43,7 +58,7 @@ from ..core.engine import EngineResult, NumericEngine, SchedulingPolicy
 from ..core.job import Instance, Job
 from ..core.power import PowerLaw
 from ..core.schedule import Schedule
-from ..core.shadow import ClairvoyantShadow, ShadowCheckpoint, ShadowCounters, SimulationContext
+from ..core.shadow import EpochShadow, ShadowCounters, SimulationContext
 from .density_rounding import round_density_down
 
 __all__ = ["NCGeneralRun", "NCGeneralPolicy", "simulate_nc_general", "eta_threshold"]
@@ -112,29 +127,45 @@ class NCGeneralPolicy(SchedulingPolicy):
         #: order because on_release fires in that order.
         self._released: dict[int, tuple[float, float]] = {}
         self._active: list[int] = []
-        #: live-shadow epoch: (current job id, its release, the shadow, its
-        #: base checkpoint at that release).  Each
-        #: query rolls the shadow back to the base, inserts the current job
-        #: with its latest processed weight and advances to the query time.
-        self._epoch: tuple[int, float, ClairvoyantShadow, ShadowCheckpoint] | None = None
         #: tracing (wired by bind): hoisted recorder guard + the rounded
         #: density class of the last epoch's j*, for density_class_switch.
         self._recorder = None
         self._rec = None
         self._last_class: float | None = None
+        #: the run's epoch shadow and the live epoch: (j*, r*, j*'s rounded
+        #: density), or None until the next query rebuilds the base.
+        self._shadow = self._new_shadow()
+        self._epoch: tuple[int | None, float, float] | None = None
+        #: j* of the last rebuild: with the new j*, the only job whose
+        #: weight in the base can have changed since.
+        self._last_job: int | None = None
 
     def bind(self, context: SimulationContext) -> None:
         super().bind(context)
         self.counters = context.counters
-        self._epoch = None
         self._recorder = context.recorder
         self._rec = context.recorder if context.recorder.enabled else None
+        self._released = {}
+        self._active = []
+        self._shadow = self._new_shadow()
+        self._epoch = None
+        self._last_job = None
         self._last_class = None
+
+    def _new_shadow(self) -> EpochShadow:
+        return EpochShadow(
+            self.power.alpha,
+            counters=self.counters,
+            recorder=self._recorder,
+            component="nc_general.shadow",
+        )
 
     # -- engine callbacks -----------------------------------------------------
 
     def on_release(self, t: float, job_id: int, density: float) -> None:
-        self._released[job_id] = (t, round_density_down(density, self.beta))
+        rho = round_density_down(density, self.beta)
+        self._released[job_id] = (t, rho)
+        self._shadow.add_job(job_id, t, rho)
         self._active.append(job_id)
         self._epoch = None  # a new arrival may change which job is processed
 
@@ -167,35 +198,25 @@ class NCGeneralPolicy(SchedulingPolicy):
         return Instance(jobs) if jobs else None
 
     def _shadow_speed(self, t: float, processed: dict[int, float]) -> float:
-        """``s^C_{I(t)}(t)`` from the live epoch shadow.
+        """``s^C_{I(t)}(t)`` from the epoch shadow.
 
         The epoch base is C's state on the *other* jobs of ``I(t)`` (their
         processed weights are frozen while NC drives ``j*``) materialized at
-        ``r*``; a query replays only ``j*``'s admission and the events in
+        ``r*``; a query adds only ``j*``'s admission and the events in
         ``(r*, t]`` — exactly the events a per-query C run warm-started at
         ``r*`` would simulate, minus all object construction.
         """
         epoch = self._epoch
+        shadow = self._shadow
         if epoch is None:
             # The active set only changes through on_release/on_completion,
             # which clear the epoch — while one is alive its j* stays the
             # HDF-rounded selection, so select_job need not be re-run.
             j_star = self.select_job(t)
-            alpha = self.power.alpha
-            r_star = self._released[j_star][0] if j_star is not None else t
+            r_star, rho_star = self._released[j_star] if j_star is not None else (t, 0.0)
             rec = self._rec
             if rec is not None:
-                # The rebuild marker goes on the epoch shadow's own component
-                # *before* the new shadow replays history: it is the rewind
-                # boundary the ordering contract keys on.
-                rec.emit(
-                    "shadow_rebuild",
-                    t,
-                    "nc_general.shadow",
-                    j_star=j_star,
-                    base_time=r_star,
-                )
-                cls = self._released[j_star][1] if j_star is not None else None
+                cls = rho_star if j_star is not None else None
                 if cls != self._last_class:
                     rec.emit(
                         "density_class_switch",
@@ -206,30 +227,22 @@ class NCGeneralPolicy(SchedulingPolicy):
                         prev_class=self._last_class,
                     )
                     self._last_class = cls
-            shadow = ClairvoyantShadow(
-                alpha,
-                counters=self.counters,
-                recorder=self._recorder,
-                component="nc_general.shadow",
-            )
-            for jid, (rel, rho) in self._released.items():
-                if jid != j_star and processed.get(jid, 0.0) > 0.0:
-                    shadow.insert_job(jid, rel, rho, processed[jid])
-            shadow.advance(r_star)
-            base = shadow.checkpoint()
+            # The engine advances only the selected job, so only the previous
+            # j* (processed during its epoch) and the new one (leaving the
+            # base) can have changed weight in the base.
+            for jid in (self._last_job, j_star):
+                if jid is not None:
+                    shadow.set_volume(jid, 0.0 if jid == j_star else processed.get(jid, 0.0))
+            self._last_job = j_star
+            shadow.rebuild(r_star, now=t, j_star=j_star)
             self.counters.rebuilds += 1
-            epoch = self._epoch = (j_star, r_star, shadow, base)
-        j_star, r_star, shadow, base = epoch
-        if j_star is not None:
-            v_star = processed.get(j_star, 0.0)
-            if v_star > 0.0:
-                w_rem = shadow.query_with_job(
-                    base, t, j_star, r_star, self._released[j_star][1], v_star
-                )
-            else:
-                w_rem = shadow.query_with_job(base, t, None, 0.0, 0.0, 0.0)
+            epoch = self._epoch = (j_star, r_star, rho_star)
+        j_star, r_star, rho_star = epoch
+        v_star = processed.get(j_star, 0.0) if j_star is not None else 0.0
+        if v_star > 0.0:
+            w_rem = shadow.query(t, j_star, r_star, rho_star, v_star)
         else:
-            w_rem = shadow.query_with_job(base, t, None, 0.0, 0.0, 0.0)
+            w_rem = shadow.query(t, None, 0.0, 0.0, 0.0)
         if w_rem <= 0.0:
             return 0.0
         return self.power.speed(w_rem)

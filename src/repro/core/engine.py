@@ -72,7 +72,12 @@ class SchedulingPolicy(ABC):
 
     @abstractmethod
     def speed(self, t: float, processed: dict[int, float]) -> float:
-        """Machine speed at time ``t`` given per-job processed volumes."""
+        """Machine speed at time ``t`` given per-job processed volumes.
+
+        ``processed`` is the engine's own map, lent for the call: read it,
+        never mutate or keep it.  Its values are valid only during the call
+        (the RK2 midpoint probe sets the selected job's entry to the probe
+        state and restores it afterwards)."""
 
 
 @dataclass(frozen=True)
@@ -216,11 +221,16 @@ class NumericEngine:
             # RK2 midpoint: probe speed, re-evaluate at the midpoint state.
             # The probe is clamped to the job's true volume so a coarse step
             # near completion cannot present the policy with an overshot state.
+            # It is written into ``processed`` in place and restored after
+            # the call, so a step costs O(1) rather than a copy of the map.
             true_volume = oracle._true_volume(job_id)
             s0 = policy.speed(t, processed)
-            probe = dict(processed)
-            probe[job_id] = min(processed[job_id] + s0 * h / 2.0, true_volume)
-            s_mid = policy.speed(t + h / 2.0, probe)
+            held = processed[job_id]
+            processed[job_id] = min(held + s0 * h / 2.0, true_volume)
+            try:
+                s_mid = policy.speed(t + h / 2.0, processed)
+            finally:
+                processed[job_id] = held
             if s_mid < 0 or not math.isfinite(s_mid):
                 raise SimulationError(
                     f"policy returned invalid speed {s_mid} at t={t}",

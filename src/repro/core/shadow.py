@@ -13,6 +13,10 @@ time ``t`` costs only the events between the previous query and ``t``:
   ``advance(t)``, ``insert_job()`` / ``grow_weight()`` deltas and
   ``checkpoint()`` / ``rollback()`` for the speculative re-runs NC-general
   needs (its current job's weight in ``I(t)`` changes at every engine step).
+* :class:`EpochShadow` — NC-general's epoch bases: raw
+  :class:`ShadowSnapshot` s after each admission let every epoch rebuild
+  resume from the last unchanged release, and queries that stay inside
+  the first decay piece after the base are answered in closed form.
 * :class:`PrefixWeightOracle` — the ``W^C(r[j]-)`` prefix-offset pattern:
   one incrementally-extended C run answering a monotone stream of
   weight-at-time queries (with an automatic from-scratch rebuild when a
@@ -42,6 +46,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 from typing import Any, Callable
 
 from .errors import SimulationError
@@ -52,8 +57,10 @@ from .tracing import NULL_RECORDER, MetricsRegistry, TraceRecorder
 __all__ = [
     "ShadowCounters",
     "ShadowCheckpoint",
+    "ShadowSnapshot",
     "ContextCheckpoint",
     "ClairvoyantShadow",
+    "EpochShadow",
     "PrefixWeightOracle",
     "SimulationContext",
 ]
@@ -82,15 +89,17 @@ class ShadowCounters:
     traffic.  ``events`` is the number of committed scheduler events inside
     shadow runs — the true cost of the incremental scheme — while ``queries``
     is how often a remaining-weight value was read.  ``rebuilds`` counts
-    from-scratch reconstructions (epoch changes in NC-general, time
-    regressions in prefix oracles); a rebuild-heavy run has lost the
-    amortization the layer exists for.
+    reconstructions (epoch changes in NC-general, which resume from the last
+    unchanged release; time regressions in prefix oracles, which start
+    over).
 
     Since the tracing layer landed this is a *view* over a
     :class:`~repro.core.tracing.MetricsRegistry` rather than a bag of ad-hoc
     ints: ``counters.events += 1`` and ``registry.values["events"]`` read and
     write the same slot, so counters, trace events and any future metrics
-    share one substrate per run.
+    share one substrate per run.  Each attribute access is a Python call, so
+    the hot paths (the event loop, speculative queries) count in locals or
+    straight into the registry dict and write once per call.
     """
 
     FIELDS = (
@@ -147,6 +156,27 @@ class ShadowCheckpoint:
     remaining: tuple[tuple[int, float], ...]
     pending: tuple[tuple[float, int, float, float], ...]
     w_accum: float
+
+
+@dataclass(frozen=True)
+class ShadowSnapshot:
+    """Raw state of a :class:`ClairvoyantShadow` between two advances.
+
+    Holds what :meth:`ClairvoyantShadow._run_loop` left: the committed
+    clock ``t_loop`` and query clock ``clock`` (apart when a piece is
+    anchored), the remaining volumes in admission order, the HDF heap as
+    laid out, and the *uncanonicalized* accumulator.  Every job released at
+    or before ``cutoff`` had been admitted, and none released after it; the
+    snapshot carries no pending jobs — :meth:`ClairvoyantShadow.resume`
+    supplies them.
+    """
+
+    t_loop: float
+    clock: float
+    remaining: tuple[tuple[int, float], ...]
+    heap: tuple[tuple[float, float, int], ...]
+    w_accum: float
+    cutoff: float
 
 
 @dataclass(frozen=True)
@@ -374,6 +404,8 @@ class ClairvoyantShadow:
         n_pending = len(pending)
         nxt = self._next
         counters.advances += 1
+        n_events = 0
+        anchored = False
         self._piece = None
         events: list[tuple[str, float, dict[str, Any]]] = []
 
@@ -432,7 +464,7 @@ class ClairvoyantShadow:
                 heappop(heap)
                 if not rem:
                     w_accum = 0.0
-                counters.events += 1
+                n_events += 1
                 if rec is not None:
                     events.append(("completion", t, {"job": cur}))
                 continue
@@ -455,20 +487,16 @@ class ClairvoyantShadow:
                     else:
                         rem[cur] = new_v
                         w_accum -= rho * (old - new_v)
-                    counters.events += 1
+                    n_events += 1
                     continue
                 if (
                     t_stop >= horizon
                     and t_stop < t + tau_phase
                     and not t_next <= horizon * (1.0 + _TIE_TOL)
                 ):
-                    self._t_loop = t
-                    self.clock = horizon
-                    self._next = nxt
                     self._piece = (cur, rho, w_total)
-                    self._w_accum = w_accum
-                    flush()
-                    return
+                    anchored = True
+                    break
                 tau = t_stop - t
                 if tau > 0:
                     if record is not None:
@@ -501,7 +529,7 @@ class ClairvoyantShadow:
                     else:
                         rem[cur] = new_v
                         w_accum -= rho * (old - new_v)
-                    counters.events += 1
+                    n_events += 1
                 t = t_stop
                 bound = t * (1.0 + _TIE_TOL)
                 while nxt < n_pending and pending[nxt][0] <= bound:
@@ -546,20 +574,16 @@ class ClairvoyantShadow:
                 heappop(heap)
                 if not rem:
                     w_accum = 0.0
-                counters.events += 1
+                n_events += 1
                 if rec is not None:
                     events.append(("completion", t, {"job": cur}))
             else:
                 if t_stop >= horizon and not t_next <= horizon * (1.0 + _TIE_TOL):
                     # Cut only by the query horizon with no admission due:
                     # keep the piece anchored instead of splitting it here.
-                    self._t_loop = t
-                    self.clock = horizon
-                    self._next = nxt
                     self._piece = (cur, rho, w_total)
-                    self._w_accum = w_accum
-                    flush()
-                    return
+                    anchored = True
+                    break
                 tau = t_stop - t
                 if tau > 0:
                     base = w_total**beta - rho * beta * tau
@@ -596,7 +620,7 @@ class ClairvoyantShadow:
                     else:
                         rem[cur] = new_v
                         w_accum -= rho * (old - new_v)
-                    counters.events += 1
+                    n_events += 1
                 t = t_stop
             bound = t * (1.0 + _TIE_TOL)
             while nxt < n_pending and pending[nxt][0] <= bound:
@@ -608,8 +632,10 @@ class ClairvoyantShadow:
                 nxt += 1
         self._t_loop = t
         self._next = nxt
-        self.clock = t
+        self.clock = horizon if anchored else t
         self._w_accum = w_accum
+        if n_events:
+            counters.events += n_events
         flush()
 
     def _current_piece(self) -> tuple[int, float, float]:
@@ -820,8 +846,10 @@ class ClairvoyantShadow:
         the current job's processed amount entered its run at its release".
         ``job_id=None`` skips the insertion (nothing of the job processed yet).
         """
-        counters = self.counters
-        counters.rollbacks += 1
+        # Counted straight into the registry: each property bump is two
+        # Python calls, a measurable share of NC-general's inner loop.
+        tally = self.counters.registry.values
+        tally["rollbacks"] += 1
         if self._rec is not None:
             self._rec.emit(
                 "shadow_rollback",
@@ -834,7 +862,7 @@ class ClairvoyantShadow:
         if job_id is not None:
             self._rho[job_id] = density
             key = self._key[job_id] = (-density, release, job_id)
-            counters.inserts += 1
+            tally["inserts"] += 1
             if release <= base.clock * (1.0 + _TIE_TOL):
                 # The base is materialized with no admission due, so the
                 # job joins the active set directly, as _admit would place it.
@@ -848,6 +876,250 @@ class ClairvoyantShadow:
         if t > self.clock:
             self._run_loop(t)
         return self.remaining_weight()
+
+    # -- raw snapshots (incremental rebuilds) ---------------------------------
+
+    def next_release(self) -> float:
+        """Release time of the first not-yet-admitted job (inf if none)."""
+        return self._pending[self._next][0] if self._next < len(self._pending) else math.inf
+
+    def snapshot(self) -> ShadowSnapshot:
+        """The raw live state, exactly as :meth:`_run_loop` left it.
+
+        Unlike :meth:`checkpoint` this neither materializes the anchored
+        piece nor canonicalizes the accumulator, so resuming from it and
+        advancing further is bit-identical to never having stopped."""
+        return ShadowSnapshot(
+            t_loop=self._t_loop,
+            clock=self.clock,
+            remaining=tuple(self._remaining.items()),
+            heap=tuple(self._heap),
+            w_accum=self._w_accum,
+            cutoff=self.clock * (1.0 + _TIE_TOL),
+        )
+
+    def resume(
+        self, snap: ShadowSnapshot, pending: list[tuple[float, int, float, float]]
+    ) -> None:
+        """Restore a raw :meth:`snapshot` with ``pending`` — sorted
+        ``(release, id, density, volume)`` rows, every release above
+        ``snap.cutoff`` — as the jobs still to come.
+
+        Rows due at a snapshot that sits on a committed event are admitted
+        at once, as :meth:`insert_job` would admit them."""
+        self._t_loop = snap.t_loop
+        self.clock = snap.clock
+        self._remaining = dict(snap.remaining)
+        self._heap = list(snap.heap)
+        self._w_accum = snap.w_accum
+        self._pending = pending
+        self._next = 0
+        self._piece = None
+        self._pending_ids = {e[1] for e in pending}
+        rho_of = self._rho
+        key_of = self._key
+        for rel, jid, rho, _ in pending:
+            rho_of[jid] = rho
+            key_of[jid] = (-rho, rel, jid)
+        self.counters.inserts += len(pending)
+        rec = self._rec
+        if rec is not None:
+            for rel, jid, rho, vol in pending:
+                rec.emit("release", rel, self.component, job=jid, density=rho, volume=vol)
+        if self._t_loop >= self.clock:
+            self._admit(self.clock)
+
+
+class EpochShadow:
+    """Algorithm C over NC-general's epoch instances, rebuilt incrementally.
+
+    NC-general (§4) reads C's run on ``S = {j != j* : processed_j > 0}``
+    materialized at the current job's release ``r*`` — the epoch *base* —
+    and answers each engine query by admitting ``j*`` with its latest
+    processed weight and advancing to ``t``.
+
+    **Rebuilds.**  ``S`` changes between epochs only in the jobs whose
+    volume is re-set through :meth:`set_volume`, so C's run on the new ``S``
+    agrees with the previous one up to the last release before the earliest
+    changed release.  One :class:`ClairvoyantShadow` serves the whole run:
+    :meth:`rebuild` advances it one release at a time, keeping a raw
+    :class:`ShadowSnapshot` after each admission; the next rebuild resumes
+    from the latest snapshot whose ``cutoff`` lies below both the new ``r*``
+    and every changed release, re-seeds the jobs of ``S`` released after it,
+    advances to ``r*`` and checkpoints.  By the staged-``advance`` contract
+    the base equals a from-scratch run of C on ``S`` bit for bit
+    (``tests/shadow_oracle.py`` keeps that run as the oracle).
+
+    **Queries.**  When the first decay piece after the base spans ``t`` —
+    no completion and no admission is due before ``t`` — :meth:`first_piece`
+    returns the weight in closed form from per-base constants, with the
+    event loop's own float expressions; every other query is a
+    :meth:`ClairvoyantShadow.query_with_job` restore-and-loop.
+    """
+
+    def __init__(
+        self,
+        alpha: float,
+        *,
+        counters: ShadowCounters | None = None,
+        recorder: TraceRecorder | None = None,
+        component: str = "shadow",
+    ) -> None:
+        self.shadow = ClairvoyantShadow(
+            alpha, counters=counters, recorder=recorder, component=component
+        )
+        self.counters = self.shadow.counters
+        self._rec = self.shadow._rec
+        #: every job revealed so far, in release order: (release, id, density).
+        self._jobs: list[tuple[float, int, float]] = []
+        self._release_of: dict[int, float] = {}
+        #: the job set ``S`` the snapshots were taken on: id -> volume.
+        self._volumes: dict[int, float] = {}
+        #: earliest release among jobs whose volume changed since the last
+        #: rebuild; snapshots at or past it no longer describe ``S``.
+        self._stale_from = math.inf
+        #: raw snapshots with increasing cutoffs; the first is the empty
+        #: shadow before any admission, valid for every ``S``.
+        self._snaps = [ShadowSnapshot(0.0, 0.0, (), (), 0.0, -math.inf)]
+        self.base: ShadowCheckpoint | None = None
+        #: the base's closed-form constants, set by :meth:`rebuild`.
+        self._first: tuple[float, float, int, tuple[float, float, int] | None, float, float, float]
+
+    def add_job(self, job_id: int, release: float, density: float) -> None:
+        """Reveal a job (in release order); it joins ``S`` via :meth:`set_volume`."""
+        if self._jobs and release < self._jobs[-1][0]:
+            raise SimulationError(
+                f"job {job_id} released at {release}, before job "
+                f"{self._jobs[-1][1]} at {self._jobs[-1][0]}"
+            )
+        self._jobs.append((release, job_id, density))
+        self._release_of[job_id] = release
+
+    def set_volume(self, job_id: int, volume: float) -> None:
+        """Set a job's volume in ``S`` (``0.0`` removes it)."""
+        old = self._volumes.get(job_id, 0.0)
+        if volume > 0.0:
+            self._volumes[job_id] = volume
+        else:
+            self._volumes.pop(job_id, None)
+            volume = 0.0
+        if volume != old:
+            self._stale_from = min(self._stale_from, self._release_of[job_id])
+
+    def rebuild(self, at: float, *, now: float, j_star: int | None) -> ShadowCheckpoint:
+        """C on ``S`` materialized at ``at``; the new :attr:`base`.
+
+        ``now`` and ``j_star`` only label the ``shadow_rebuild`` trace
+        marker, whose ``base_time`` is the resume point: the events after
+        it replay C from there, not from ``t = 0``."""
+        snaps = self._snaps
+        stale = min(at, self._stale_from)
+        while len(snaps) > 1 and snaps[-1].cutoff >= stale:
+            snaps.pop()
+        snap = snaps[-1]
+        if self._rec is not None:
+            self._rec.emit(
+                "shadow_rebuild", now, self.shadow.component, j_star=j_star, base_time=snap.clock
+            )
+        vols = self._volumes
+        start = bisect_right(self._jobs, snap.cutoff, key=itemgetter(0))
+        pending = [
+            (rel, jid, rho, vols[jid]) for rel, jid, rho in self._jobs[start:] if jid in vols
+        ]
+        pending.sort()
+        shadow = self.shadow
+        shadow.resume(snap, pending)
+        nxt = shadow.next_release()
+        while nxt < at:
+            shadow.advance(nxt)
+            snaps.append(shadow.snapshot())
+            nxt = shadow.next_release()
+        shadow.advance(at)
+        base = self.base = shadow.checkpoint()
+        self._stale_from = math.inf
+        # Per-base constants of the closed-form first piece: the HDF-minimum
+        # key and the remaining volume of its job, the canonical weight, the
+        # size of the active set and the first pending release.
+        rem = shadow._remaining
+        if rem:
+            cur = shadow._heap[0][2]
+            key, rho, vol = shadow._key[cur], shadow._rho[cur], rem[cur]
+        else:
+            key, rho, vol = None, 0.0, 0.0
+        t_next = base.pending[0][0] if base.pending else math.inf
+        self._first = (base.clock, base.w_accum, len(rem), key, rho, vol, t_next)
+        return base
+
+    def first_piece(
+        self, t: float, job_id: int | None, release: float, density: float, volume: float
+    ) -> float | None:
+        """:meth:`query`'s answer in closed form, or ``None`` when the first
+        piece after the base does not span ``t``.
+
+        Repeats, float for float, what ``query_with_job`` computes when its
+        loop anchors in the first piece: the admission of ``job_id``, the
+        single-job exact re-derivation of the total, the piece's completion
+        time, and ``remaining_weight``'s decay of the anchored piece."""
+        t0, w_base, n_base, key_b, rho_b, vol_b, t_next = self._first
+        if job_id is None:
+            if not n_base:
+                return None
+            w_accum, rho, vol, n = w_base, rho_b, vol_b, n_base
+        else:
+            if release > t0 * (1.0 + _TIE_TOL):
+                return None
+            w_accum = w_base + density * volume
+            n = n_base + 1
+            if n_base and key_b < (-density, release, job_id):
+                rho, vol = rho_b, vol_b
+            else:
+                rho, vol = density, volume
+        if t <= t0:
+            return w_accum if w_accum > 0.0 else 0.0
+        if n == 1:
+            # The loop's single-job exact re-derivation.  On a canonical
+            # base it reproduces ``w_accum`` bit for bit; it stays so that
+            # this line is the loop's, whatever the base.
+            w_accum = rho * vol
+        w_total = w_accum
+        if w_total <= 0:
+            return None
+        beta = self.shadow._beta
+        w_end = w_total - rho * vol
+        w_end_c = w_end if w_end > 0.0 else 0.0
+        tau_complete = (w_total**beta - w_end_c**beta) / (rho * beta)
+        if tau_complete < 0.0:
+            tau_complete = 0.0
+        t_stop = min(t0 + tau_complete, t_next, t)
+        if t_stop >= t0 + tau_complete * (1.0 - _TIE_TOL):
+            return None  # the piece's job completes first
+        if t_stop < t or t_next <= t * (1.0 + _TIE_TOL):
+            return None  # an admission is due first
+        w_after = decay_weight_after(w_total, rho, t - t0, self.shadow.alpha)
+        dv = (w_total - w_after) / rho
+        total = w_accum - rho * (vol - max(vol - dv, 0.0))
+        return total if total > 0.0 else 0.0
+
+    def query(
+        self, t: float, job_id: int | None, release: float, density: float, volume: float
+    ) -> float:
+        """Remaining weight at ``t`` of C on ``S`` plus ``job_id`` (released
+        at ``release``); ``job_id=None`` adds nothing.  Equals
+        ``shadow.query_with_job(base, ...)`` bit for bit, counters aside.
+        With tracing on, every query takes the loop, so the trace keeps one
+        speculative ``shadow_rollback`` marker per query."""
+        if self.base is None:
+            raise SimulationError("EpochShadow queried before its first rebuild")
+        if self._rec is None:
+            w = self.first_piece(t, job_id, release, density, volume)
+            if w is not None:
+                tally = self.counters.registry.values
+                tally["rollbacks"] += 1
+                tally["queries"] += 1
+                if job_id is not None:
+                    tally["inserts"] += 1
+                return w
+        return self.shadow.query_with_job(self.base, t, job_id, release, density, volume)
 
 
 class PrefixWeightOracle:

@@ -13,7 +13,12 @@ independent reference:
   building the schedule the way ``simulate_clairvoyant`` does;
 * :class:`ReferenceNCGeneralPolicy` / :func:`simulate_nc_general_reference`
   — Algorithm NC-general whose shadow speed ``s^C_{I(t)}(t)`` comes from a
-  fresh warm-started :func:`simulate_c` run per engine query.
+  fresh warm-started :func:`simulate_c` run per engine query;
+* :func:`scratch_base` / :class:`ScratchRebuildNCGeneralPolicy` /
+  :func:`simulate_nc_general_scratch` — NC-general's epoch shadow rebuilt
+  from ``t = 0`` at every epoch and queried by restore-and-loop only: the
+  shipped :class:`~repro.core.shadow.EpochShadow` must match it bit for
+  bit, base by base and segment by segment.
 
 The differential tests pin the shipped loop against these, and the
 benchmarks time the shipped code against them.
@@ -33,6 +38,7 @@ from repro.core.job import Instance
 from repro.core.kernels import decay_time_between, decay_weight_after
 from repro.core.power import PowerLaw
 from repro.core.schedule import DecaySegment, Schedule, ScheduleBuilder
+from repro.core.shadow import ClairvoyantShadow, ShadowCheckpoint, ShadowCounters
 
 __all__ = [
     "OracleRun",
@@ -40,6 +46,9 @@ __all__ = [
     "simulate_c",
     "ReferenceNCGeneralPolicy",
     "simulate_nc_general_reference",
+    "scratch_base",
+    "ScratchRebuildNCGeneralPolicy",
+    "simulate_nc_general_scratch",
 ]
 
 _TIE_TOL = 1e-12
@@ -267,6 +276,81 @@ def simulate_nc_general_reference(
     policy = ReferenceNCGeneralPolicy(
         power, eta=eta, beta=beta, epsilon=epsilon, use_checkpoints=use_checkpoints
     )
+    min_step = min(1e-14, epsilon**2 / 16.0)
+    engine = NumericEngine(power, max_step=max_step, min_step=max(min_step, 1e-300))
+    result = engine.run(instance, policy)
+    return NCGeneralRun(
+        instance=instance,
+        power=power,
+        schedule=result.schedule,
+        eta=policy.eta,
+        beta=policy.beta,
+        epsilon=policy.epsilon,
+        engine_steps=result.steps,
+        counters=result.context.counters if result.context is not None else None,
+    )
+
+
+def scratch_base(
+    released: dict[int, tuple[float, float]],
+    processed: dict[int, float],
+    j_star: int | None,
+    r_star: float,
+    alpha: float,
+    *,
+    counters: ShadowCounters | None = None,
+) -> tuple[ClairvoyantShadow, ShadowCheckpoint]:
+    """NC-general's epoch base rebuilt from scratch: a fresh shadow fed
+    every released job but ``j_star`` that NC has processed
+    (``released`` maps id -> (release, rounded density), in release order),
+    advanced to ``r_star`` and checkpointed."""
+    shadow = ClairvoyantShadow(alpha, counters=counters)
+    for jid, (rel, rho) in released.items():
+        if jid != j_star and processed.get(jid, 0.0) > 0.0:
+            shadow.insert_job(jid, rel, rho, processed[jid])
+    shadow.advance(r_star)
+    return shadow, shadow.checkpoint()
+
+
+class ScratchRebuildNCGeneralPolicy(NCGeneralPolicy):
+    """NC-general with the from-scratch epoch base of :func:`scratch_base`
+    and every query a ``query_with_job`` restore-and-loop."""
+
+    def _shadow_speed(self, t: float, processed: dict[int, float]) -> float:
+        epoch = self._epoch
+        if epoch is None:
+            j_star = self.select_job(t)
+            r_star, rho_star = self._released[j_star] if j_star is not None else (t, 0.0)
+            shadow, base = scratch_base(
+                self._released, processed, j_star, r_star, self.power.alpha,
+                counters=self.counters,
+            )
+            self.counters.rebuilds += 1
+            epoch = self._epoch = (j_star, r_star, rho_star)
+            self._scratch = (shadow, base)
+        j_star, r_star, rho_star = epoch
+        shadow, base = self._scratch
+        v_star = processed.get(j_star, 0.0) if j_star is not None else 0.0
+        if v_star > 0.0:
+            w_rem = shadow.query_with_job(base, t, j_star, r_star, rho_star, v_star)
+        else:
+            w_rem = shadow.query_with_job(base, t, None, 0.0, 0.0, 0.0)
+        if w_rem <= 0.0:
+            return 0.0
+        return self.power.speed(w_rem)
+
+
+def simulate_nc_general_scratch(
+    instance: Instance,
+    power: PowerLaw,
+    *,
+    eta: float | None = None,
+    beta: float = 5.0,
+    epsilon: float = 1e-6,
+    max_step: float = 1e-2,
+) -> NCGeneralRun:
+    """``simulate_nc_general`` driven by :class:`ScratchRebuildNCGeneralPolicy`."""
+    policy = ScratchRebuildNCGeneralPolicy(power, eta=eta, beta=beta, epsilon=epsilon)
     min_step = min(1e-14, epsilon**2 / 16.0)
     engine = NumericEngine(power, max_step=max_step, min_step=max(min_step, 1e-300))
     result = engine.run(instance, policy)

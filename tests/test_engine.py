@@ -17,6 +17,55 @@ from repro.core.metrics import evaluate
 from conftest import uniform_instances
 
 
+class TestMidpointProbe:
+    """The RK2 probe is written into the engine's ``processed`` map in place
+    and restored after the midpoint call, instead of copying the map."""
+
+    class _Spy(ClairvoyantPolicy):
+        def __init__(self, instance, power):
+            super().__init__(instance, power)
+            self.calls: list[tuple[int, dict[int, float]]] = []
+            self.maps: set[int] = set()
+
+        def speed(self, t, processed):
+            self.maps.add(id(processed))
+            self.calls.append((len(self.calls), dict(processed)))
+            return super().speed(t, processed)
+
+    def test_probe_sees_midpoint_state_and_is_restored(self, cube, three_jobs):
+        spy = self._Spy(three_jobs, cube)
+        result = NumericEngine(cube, max_step=1e-2).run(three_jobs, spy)
+        assert len(spy.maps) == 1  # one map, lent to every call
+        # Calls come in (start, midpoint) pairs: the midpoint differs from
+        # the start in at most the selected job, and the next step's start
+        # never carries a probe value forward.
+        for (_, start), (_, mid) in zip(spy.calls[::2], spy.calls[1::2]):
+            assert set(start) == set(mid)
+            assert sum(start[j] != mid[j] for j in start) <= 1
+        plain = NumericEngine(cube, max_step=1e-2).run(
+            three_jobs, ClairvoyantPolicy(three_jobs, cube)
+        )
+        assert [(s.t0, s.t1, s.job_id, s.speed) for s in result.schedule] == [
+            (s.t0, s.t1, s.job_id, s.speed) for s in plain.schedule
+        ]
+
+    def test_probe_restored_when_midpoint_raises(self, cube):
+        inst = Instance([Job(0, 0.0, 1.0)])
+        seen: list[dict[int, float]] = []
+
+        class Failing(ClairvoyantPolicy):
+            def speed(self, t, processed):
+                seen.append(processed)
+                if len(seen) == 2:
+                    raise RuntimeError("midpoint")
+                return super().speed(t, processed)
+
+        with pytest.raises(RuntimeError, match="midpoint"):
+            NumericEngine(cube, max_step=1e-2).run(inst, Failing(inst, cube))
+        assert seen[0] is seen[1]
+        assert seen[0][0] == 0.0
+
+
 class TestEngineBasics:
     def test_rejects_bad_steps(self, cube):
         with pytest.raises(ValueError):

@@ -10,6 +10,8 @@ import pytest
 from repro import Instance, Job, PowerLaw
 from repro.algorithms.clairvoyant import simulate_clairvoyant
 from repro.algorithms.nc_general import NCGeneralPolicy, eta_threshold, simulate_nc_general
+from repro.core.engine import NumericEngine
+from repro.core.errors import SimulationError
 from repro.core.metrics import evaluate
 from repro.offline.bounds import opt_fractional_lower_bound
 from repro.workloads import random_instance
@@ -209,3 +211,32 @@ class TestShadowCheckpoints:
         # Checkpoint says half of job 0 is left at t=1.
         sched, _ = simulate_c(inst, cube, resume=(1.0, {0: 1.0}))
         assert sched.processed_volume(0) == pytest.approx(1.0)
+
+
+class TestEpsilonIgnition:
+    """The epsilon bootstrap of a lone job, driven on the engine directly.
+
+    The algorithm is translation-invariant in time, so a job released into
+    an idle machine should ignite the same way at any release time.  Up to
+    t = 200 it does; from about t = 287 on, the speed stays pinned at
+    epsilon until the step budget runs out.  The xfail flips when that is
+    fixed."""
+
+    @staticmethod
+    def _run(release: float):
+        power = PowerLaw(3.0)
+        engine = NumericEngine(power, stall_limit=5000)
+        return engine.run(Instance([Job(0, release, 1.0, 6.64)]), NCGeneralPolicy(power))
+
+    @pytest.mark.parametrize("release", [0.0, 100.0, 200.0])
+    def test_ignites_at_early_release(self, release):
+        result = self._run(release)
+        assert 68 <= result.steps <= 73
+        assert result.schedule.completion_time(0, 1.0) < release + 1.0
+
+    @pytest.mark.xfail(
+        strict=True, raises=SimulationError, reason="epsilon ignition fails at large t"
+    )
+    def test_ignites_at_release_300(self):
+        result = self._run(300.0)
+        assert result.schedule.completion_time(0, 1.0) < 301.0

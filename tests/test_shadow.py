@@ -15,6 +15,7 @@ import math
 import pytest
 
 from repro.algorithms.clairvoyant import simulate_clairvoyant
+from repro.algorithms.nc_uniform import simulate_nc_uniform
 from repro.core.errors import SimulationError
 from repro.core.job import Instance, Job
 from repro.core.power import PowerLaw
@@ -24,6 +25,12 @@ from repro.core.shadow import (
     ShadowCounters,
     SimulationContext,
 )
+from repro.extensions import (
+    CappedPowerLaw,
+    simulate_clairvoyant_capped,
+    simulate_nc_uniform_capped,
+)
+from repro.workloads import random_instance
 
 ALPHA = 3.0
 
@@ -336,3 +343,36 @@ class TestSimulationContext:
         ctx = SimulationContext(CappedPowerLaw(ALPHA, 1.5))
         sh = ctx.shadow()
         assert sh.s_max == 1.5
+
+
+class TestCountersUnchanged:
+    """The event loop counts locally and writes its totals once per call;
+    the totals are the ones the per-event bumps produced."""
+
+    @pytest.mark.parametrize(
+        "seed, c_counts, nc_counts",
+        [
+            (5, (1, 77, 40, 0), (76, 72, 39, 40)),
+            (17, (1, 78, 40, 0), (77, 71, 39, 40)),
+        ],
+    )
+    def test_clairvoyant_and_nc_uniform(self, seed, c_counts, nc_counts):
+        power = PowerLaw(3.0)
+        inst = random_instance(40, seed=seed, volume="exponential", density="unit")
+        for simulate, want in ((simulate_clairvoyant, c_counts), (simulate_nc_uniform, nc_counts)):
+            ctx = SimulationContext(power)
+            simulate(inst, power, context=ctx)
+            c = ctx.counters
+            assert (c.advances, c.events, c.inserts, c.queries) == want, simulate.__name__
+
+    def test_capped_variants(self):
+        power = CappedPowerLaw(3.0, 1.2)
+        inst = random_instance(40, seed=5, volume="exponential", density="unit", rate=3.0)
+        for simulate, want in (
+            (simulate_clairvoyant_capped, (1, 98, 40, 0)),
+            (simulate_nc_uniform_capped, (77, 59, 39, 39)),
+        ):
+            ctx = SimulationContext(power)
+            simulate(inst, power, context=ctx)
+            c = ctx.counters
+            assert (c.advances, c.events, c.inserts, c.queries) == want, simulate.__name__
