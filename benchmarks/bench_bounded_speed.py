@@ -16,12 +16,9 @@ from __future__ import annotations
 
 from repro import Instance, Job
 from repro.analysis import format_table
+from repro.algorithms import simulate_clairvoyant, simulate_nc_uniform
 from repro.core import evaluate
-from repro.extensions import (
-    CappedPowerLaw,
-    simulate_clairvoyant_capped,
-    simulate_nc_uniform_capped,
-)
+from repro.extensions import CappedPowerLaw
 
 from conftest import emit
 
@@ -40,8 +37,8 @@ def _run():
     rows = []
     for s_max in CAPS:
         p = CappedPowerLaw(ALPHA, s_max)
-        rc = evaluate(simulate_clairvoyant_capped(inst, p).schedule, inst, p)
-        rn = evaluate(simulate_nc_uniform_capped(inst, p).schedule, inst, p)
+        rc = evaluate(simulate_clairvoyant(inst, p).schedule, inst, p)
+        rn = evaluate(simulate_nc_uniform(inst, p).schedule, inst, p)
         rows.append(
             [
                 s_max,

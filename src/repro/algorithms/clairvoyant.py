@@ -11,7 +11,8 @@ are ``∫ W(t) dt``.
 This module simulates Algorithm C *exactly* for ``P(s)=s**alpha`` by driving
 the incremental :class:`~repro.core.shadow.ClairvoyantShadow` — the closed-form
 weight decay between scheduler events (releases and completions); see
-:mod:`repro.core.kernels` — and recording one :class:`DecaySegment` per event.
+:mod:`repro.core.kernels` — and recording one :class:`DecaySegment` per event
+(plus saturated :class:`ConstantSegment` pieces under a speed cap).
 For general power functions use :class:`ClairvoyantPolicy` on the numeric
 engine.
 """
@@ -24,8 +25,8 @@ from dataclasses import dataclass
 from ..core.engine import SchedulingPolicy
 from ..core.job import Instance, Job
 from ..core.power import PowerFunction, PowerLaw
-from ..core.schedule import DecaySegment, Schedule, ScheduleBuilder
-from ..core.shadow import ClairvoyantShadow, SimulationContext
+from ..core.schedule import ConstantSegment, DecaySegment, Schedule, ScheduleBuilder
+from ..core.shadow import ClairvoyantShadow, SimulationContext, shadow_params
 
 __all__ = ["ClairvoyantRun", "simulate_clairvoyant", "ClairvoyantPolicy", "hdf_key"]
 
@@ -92,29 +93,49 @@ def simulate_clairvoyant(
     *,
     until: float | None = None,
     context: SimulationContext | None = None,
-    component: str = "C",
+    component: str | None = None,
 ) -> ClairvoyantRun:
     """Exact event-driven simulation of Algorithm C under ``P(s)=s**alpha``.
+
+    A :class:`~repro.extensions.bounded_speed.CappedPowerLaw` clips the speed
+    rule at its ``s_max``: while the remaining weight exceeds ``P(s_max)``
+    the machine saturates (one :class:`ConstantSegment` per piece, weight
+    falling linearly), then the ordinary decay takes over.
 
     With ``until`` given, the simulation stops at that time (useful for the
     shadow simulations of Algorithm NC, which only need the state of C at the
     current moment); otherwise it runs to the last completion.
 
     ``context`` — if given — routes the shadow's counters and trace events
-    into that :class:`~repro.core.shadow.SimulationContext`.
+    into that :class:`~repro.core.shadow.SimulationContext`.  ``component``
+    tags the trace events; it defaults to ``"C"``, or ``"C_capped"`` under a
+    cap.
     """
     if not isinstance(power, PowerLaw):
         raise TypeError("analytic Algorithm C requires a PowerLaw; use ClairvoyantPolicy otherwise")
-    alpha = power.alpha
+    alpha, s_max = shadow_params(power)
     horizon = math.inf if until is None else float(until)
 
     builder = ScheduleBuilder()
 
-    def record(kind: str, t0: float, t1: float, jid: int, w0: float) -> None:
-        builder.append(DecaySegment(t0, t1, jid, w0, instance[jid].density, alpha))
+    if s_max is None:
 
+        def record(kind: str, t0: float, t1: float, jid: int, w0: float) -> None:
+            builder.append(DecaySegment(t0, t1, jid, w0, instance[jid].density, alpha))
+
+    else:
+
+        def record(kind: str, t0: float, t1: float, jid: int, w0: float) -> None:
+            if kind == "const":
+                builder.append(ConstantSegment(t0, t1, jid, w0))
+            else:
+                builder.append(DecaySegment(t0, t1, jid, w0, instance[jid].density, alpha))
+
+    if component is None:
+        component = "C" if s_max is None else "C_capped"
     shadow = ClairvoyantShadow(
         alpha,
+        s_max=s_max,
         record=record,
         counters=context.counters if context is not None else None,
         recorder=context.recorder if context is not None else None,

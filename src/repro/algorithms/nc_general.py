@@ -58,7 +58,7 @@ from ..core.engine import EngineResult, NumericEngine, SchedulingPolicy
 from ..core.job import Instance, Job
 from ..core.power import PowerLaw
 from ..core.schedule import Schedule
-from ..core.shadow import EpochShadow, ShadowCounters, SimulationContext
+from ..core.shadow import EpochShadow, ShadowCounters, SimulationContext, uncapped_alpha
 from .density_rounding import round_density_down
 
 __all__ = ["NCGeneralRun", "NCGeneralPolicy", "simulate_nc_general", "eta_threshold"]
@@ -110,8 +110,9 @@ class NCGeneralPolicy(SchedulingPolicy):
     ) -> None:
         if not isinstance(power, PowerLaw):
             raise TypeError("NC-general's shadow simulation requires a PowerLaw")
+        alpha = uncapped_alpha(power, "NC-general")
         if eta is None:
-            eta = _ETA_MARGIN * eta_threshold(power.alpha)
+            eta = _ETA_MARGIN * eta_threshold(alpha)
         if eta < 1:
             raise ValueError(f"eta must be >= 1, got {eta}")
         if beta <= 1:

@@ -20,7 +20,8 @@ Guarantees reproduced by the test-suite as *equalities*:
 For ``P(s)=s**alpha`` the dynamics while a job runs are the growth kernel
 ``dU/dt = rho·U**(1/alpha)`` with ``U = W^C(r[j]-) + W̆[j]``, so the whole run
 is computed in closed form: one :class:`~repro.core.schedule.GrowthSegment`
-per job.  Note that the speed while processing ``j`` depends only on ``j``'s
+per job (under a speed cap, followed by a constant-speed piece once ``U``
+passes ``P(s_max)``).  Note that the speed while processing ``j`` depends only on ``j``'s
 own progress and on jobs released *before* ``j`` — later arrivals never change
 it — which is why the simulation is a single FIFO pass.
 """
@@ -32,11 +33,12 @@ from dataclasses import dataclass
 
 from ..core.engine import NumericEngine, SchedulingPolicy
 from ..core.errors import InvalidInstanceError, SimulationError
-from ..core.job import Instance
+from ..core.job import Instance, Job
 from ..core.kernels import growth_time_between
 from ..core.power import PowerFunction, PowerLaw
-from ..core.schedule import GrowthSegment, Schedule, ScheduleBuilder
-from ..core.shadow import PrefixWeightOracle, SimulationContext
+from ..core.schedule import ConstantSegment, GrowthSegment, Schedule, ScheduleBuilder
+from ..core.shadow import PrefixWeightOracle, SimulationContext, shadow_params
+from ..core.tracing import TraceRecorder
 from .clairvoyant import ClairvoyantPolicy
 
 __all__ = ["NCUniformRun", "simulate_nc_uniform", "NCUniformPolicy"]
@@ -70,7 +72,7 @@ def simulate_nc_uniform(
     power: PowerLaw,
     *,
     context: SimulationContext | None = None,
-    component: str = "NC",
+    component: str | None = None,
 ) -> NCUniformRun:
     """Exact simulation of Algorithm NC on a uniform-density instance.
 
@@ -79,6 +81,13 @@ def simulate_nc_uniform(
     FIFO order, strictly-earlier releases first), not from per-job fresh
     simulations — the offsets are bit-identical either way, see
     :class:`~repro.core.shadow.PrefixWeightOracle`.
+
+    A :class:`~repro.extensions.bounded_speed.CappedPowerLaw` clips the growth
+    rule at its ``s_max``: once ``U`` reaches ``P(s_max)`` the machine
+    saturates and ``U`` grows *linearly* to the job's end (a
+    :class:`ConstantSegment` after the growth piece), and the prefix shadow
+    runs capped too.  ``component`` tags the trace events; it defaults to
+    ``"NC"``, or ``"NC_capped"`` under a cap.
     """
     if not isinstance(power, PowerLaw):
         raise TypeError("analytic Algorithm NC requires a PowerLaw; use NCUniformPolicy otherwise")
@@ -87,13 +96,17 @@ def simulate_nc_uniform(
             "Algorithm NC (§3) requires uniform densities; "
             "use simulate_nc_general for the non-uniform case"
         )
-    alpha = power.alpha
+    alpha, s_max = shadow_params(power)
+    # The saturation level P(s_max); inf uncapped, so no job ever reaches it.
+    u_sat = math.inf if s_max is None else s_max**alpha
+    if component is None:
+        component = "NC" if s_max is None else "NC_capped"
     builder = ScheduleBuilder()
     offsets: dict[int, float] = {}
     starts: dict[int, float] = {}
     if context is None:
         context = SimulationContext(power)
-    oracle = context.prefix_oracle(component=f"{component}.prefix")
+    oracle = context.prefix_oracle(power=power, component=f"{component}.prefix")
     recorder = context.recorder
     rec = recorder if recorder.enabled else None  # zero-overhead hoist
     filt = context.volume_filter  # fault reveal channel; None when unfaulted
@@ -127,7 +140,13 @@ def simulate_nc_uniform(
         starts[job.job_id] = start
         # U grows from offset to offset + W[j]; the job completes when all of
         # its (only now revealed) weight has been processed.
-        tau = growth_time_between(offset, offset + job.weight, job.density, alpha)
+        u_end = offset + job.weight
+        if u_end > u_sat:
+            t = _saturated_job(
+                builder, rec, component, job, start, offset, u_end, u_sat, s_max, alpha
+            )
+            continue
+        tau = growth_time_between(offset, u_end, job.density, alpha)
         builder.append(GrowthSegment(start, start + tau, job.job_id, offset, job.density, alpha))
         if rec is not None:
             rec.emit(
@@ -155,6 +174,70 @@ def simulate_nc_uniform(
     return NCUniformRun(
         instance=instance, power=power, schedule=builder.build(), offsets=offsets, starts=starts
     )
+
+
+def _saturated_job(
+    builder: ScheduleBuilder,
+    rec: TraceRecorder | None,
+    component: str,
+    job: Job,
+    start: float,
+    offset: float,
+    u_end: float,
+    u_sat: float,
+    s_max: float,
+    alpha: float,
+) -> float:
+    """Place a job whose driver ``U`` ends above the cap ``P(s_max)``: growth
+    up to the cap (if ``U`` starts below it), then constant speed ``s_max``
+    to the finish line.  Returns the job's completion time."""
+    rho = job.density
+    if rec is not None:
+        rec.emit("release", job.release, component, job=job.job_id, density=rho, offset=offset)
+    cursor = start
+    if offset < u_sat:
+        tau = growth_time_between(offset, u_sat, rho, alpha)
+        if tau > 0:
+            builder.append(GrowthSegment(cursor, cursor + tau, job.job_id, offset, rho, alpha))
+            if rec is not None:
+                rec.emit(
+                    "kernel_eval",
+                    cursor,
+                    component,
+                    profile="growth",
+                    t0=cursor,
+                    t1=cursor + tau,
+                    job=job.job_id,
+                    x0=offset,
+                    rho=rho,
+                    alpha=alpha,
+                )
+            cursor += tau
+        reached = u_sat
+    else:
+        reached = offset
+    if u_end > reached:
+        tau = (u_end - reached) / (rho * s_max)
+        builder.append(ConstantSegment(cursor, cursor + tau, job.job_id, s_max))
+        if rec is not None:
+            rec.emit(
+                "kernel_eval",
+                cursor,
+                component,
+                profile="const",
+                t0=cursor,
+                t1=cursor + tau,
+                job=job.job_id,
+                speed=s_max,
+                rho=rho,
+                alpha=alpha,
+            )
+        cursor += tau
+    if cursor <= start:
+        raise SimulationError(f"job {job.job_id} made no progress")
+    if rec is not None:
+        rec.emit("completion", cursor, component, job=job.job_id)
+    return cursor
 
 
 class NCUniformPolicy(SchedulingPolicy):
@@ -220,18 +303,11 @@ class NCUniformPolicy(SchedulingPolicy):
     def _prefix_remaining_weight(self, release: float) -> float:
         """``W^C(release-)`` from the jobs completed so far (all jobs released
         strictly before ``release``, by FIFO)."""
-        from ..core.job import Job
-
         if isinstance(self.power, PowerLaw):
             # One incrementally-extended shadow run serves every offset
             # query; FIFO makes both the queries and the insertions monotone.
             if self._prefix_oracle is None:
-                context = getattr(self, "context", None)
-                self._prefix_oracle = (
-                    context.prefix_oracle(power=self.power)
-                    if context is not None and context.power is self.power
-                    else PrefixWeightOracle(self.power.alpha)
-                )
+                self._prefix_oracle = self.context.prefix_oracle(power=self.power)
             for jid, (r, rho) in self._released.items():
                 if r < release and jid not in self._in_oracle:
                     if jid not in self._completed:

@@ -26,8 +26,8 @@ time ``t`` costs only the events between the previous query and ``t``:
   activity is observable per run.
 
 Exactness contract: the one event loop below serves every consumer —
-``simulate_clairvoyant``, its capped variant in
-``repro.extensions.bounded_speed``, the prefix oracles and NC-general's
+``simulate_clairvoyant`` (capped or not: :func:`shadow_params` reads the
+cap off the power function), the prefix oracles and NC-general's
 speculative queries — with fixed admission tolerances, HDF tie-breaking
 and a drop-only-exact-zero rule, so a staged sequence of ``advance`` calls
 is bit-identical to one fresh run to the same horizon.  The only
@@ -63,6 +63,8 @@ __all__ = [
     "EpochShadow",
     "PrefixWeightOracle",
     "SimulationContext",
+    "shadow_params",
+    "uncapped_alpha",
 ]
 
 #: Same relative tie tolerance as the analytic simulators.  Relative, not
@@ -1122,6 +1124,29 @@ class EpochShadow:
         return self.shadow.query_with_job(self.base, t, job_id, release, density, volume)
 
 
+def shadow_params(power: PowerFunction) -> tuple[float, float | None]:
+    """``(alpha, s_max)`` of a power law; ``s_max`` is ``None`` when uncapped.
+
+    The one place the speed cap is read off a power function: every analytic
+    simulator and shadow factory takes its dynamics from here, so a
+    :class:`~repro.extensions.bounded_speed.CappedPowerLaw` is honoured (or
+    refused) everywhere alike.
+    """
+    alpha = getattr(power, "alpha", None)
+    if alpha is None:
+        raise TypeError(f"analytic shadow oracles require a PowerLaw, got {power!r}")
+    return alpha, getattr(power, "s_max", None)
+
+
+def uncapped_alpha(power: PowerFunction, algorithm: str) -> float:
+    """``alpha`` of an uncapped power law; ``TypeError`` naming the cap for a
+    capped one, for simulators whose dynamics ignore ``s_max``."""
+    alpha, s_max = shadow_params(power)
+    if s_max is not None:
+        raise TypeError(f"{algorithm} cannot honour the speed cap s_max={s_max} of {power!r}")
+    return alpha
+
+
 class PrefixWeightOracle:
     """One incrementally-extended Algorithm C run answering ``W^C(t)`` queries.
 
@@ -1274,15 +1299,6 @@ class SimulationContext:
         if rec.enabled:
             rec.emit(kind, sim_time, component, **payload)
 
-    def _shadow_params(self, power: PowerFunction | None = None) -> tuple[float, float | None]:
-        power = self.power if power is None else power
-        alpha = getattr(power, "alpha", None)
-        if alpha is None:
-            raise TypeError(
-                f"analytic shadow oracles require a PowerLaw, got {power!r}"
-            )
-        return alpha, getattr(power, "s_max", None)
-
     def shadow(
         self,
         *,
@@ -1292,7 +1308,7 @@ class SimulationContext:
     ) -> ClairvoyantShadow:
         """A fresh :class:`ClairvoyantShadow` wired to this context's counters
         and recorder."""
-        alpha, s_max = self._shadow_params(power)
+        alpha, s_max = shadow_params(self.power if power is None else power)
         return ClairvoyantShadow(
             alpha,
             s_max=s_max,
@@ -1307,7 +1323,7 @@ class SimulationContext:
     ) -> PrefixWeightOracle:
         """A fresh :class:`PrefixWeightOracle` wired to this context's counters
         and recorder."""
-        alpha, s_max = self._shadow_params(power)
+        alpha, s_max = shadow_params(self.power if power is None else power)
         return PrefixWeightOracle(
             alpha,
             s_max=s_max,

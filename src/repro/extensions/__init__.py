@@ -1,12 +1,7 @@
 """Extensions beyond the paper's core results: adjacent models its related
 work section points to, implemented on the same exact simulation substrate."""
 
-from .bounded_speed import (
-    CappedPowerLaw,
-    CappedRun,
-    simulate_clairvoyant_capped,
-    simulate_nc_uniform_capped,
-)
+from .bounded_speed import CappedPowerLaw
 from .deadlines import (
     DeadlineInstance,
     avr_schedule,
@@ -17,9 +12,6 @@ from .deadlines import (
 
 __all__ = [
     "CappedPowerLaw",
-    "CappedRun",
-    "simulate_clairvoyant_capped",
-    "simulate_nc_uniform_capped",
     "DeadlineInstance",
     "yds_schedule",
     "avr_schedule",

@@ -38,7 +38,7 @@ from ..core.kernels import growth_time_between
 from ..core.oracle import VolumeOracle
 from ..core.power import PowerLaw
 from ..core.schedule import GrowthSegment, ScheduleBuilder
-from ..core.shadow import SimulationContext
+from ..core.shadow import SimulationContext, uncapped_alpha
 from ..parallel.cluster import ClusterRun
 from .plan import INSTANCE_KINDS, FaultPlan, FaultSpec
 
@@ -389,9 +389,9 @@ def simulate_nc_par_with_failure(
         raise InvalidInstanceError(f"dead_machine {dead_machine} out of range")
     if not instance.is_uniform_density():
         raise InvalidInstanceError("NC-PAR (§6) is defined for uniform densities")
+    alpha = uncapped_alpha(power, "NC-PAR")
     if context is None:
         context = SimulationContext(power)
-    alpha = power.alpha
     survivors = [i for i in range(machines) if i != dead_machine]
     free = [0.0] * machines
     assignments: dict[int, list[int]] = {i: [] for i in range(machines)}

@@ -27,7 +27,7 @@ from ..core.job import Instance
 from ..core.kernels import growth_time_between
 from ..core.power import PowerLaw
 from ..core.schedule import GrowthSegment, ScheduleBuilder
-from ..core.shadow import SimulationContext
+from ..core.shadow import SimulationContext, uncapped_alpha
 from .cluster import ClusterRun
 
 __all__ = ["simulate_nc_par"]
@@ -45,7 +45,7 @@ def simulate_nc_par(
         raise InvalidInstanceError(f"machines must be >= 1, got {machines}")
     if not instance.is_uniform_density():
         raise InvalidInstanceError("NC-PAR (§6) is defined for uniform densities")
-    alpha = power.alpha
+    alpha = uncapped_alpha(power, "NC-PAR")
     if context is None:
         context = SimulationContext(power)
 

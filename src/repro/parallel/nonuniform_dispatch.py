@@ -38,7 +38,7 @@ from ..core.job import Instance
 from ..core.kernels import growth_time_between
 from ..core.power import PowerLaw
 from ..core.schedule import GrowthSegment, ScheduleBuilder
-from ..core.shadow import SimulationContext
+from ..core.shadow import SimulationContext, uncapped_alpha
 from .cluster import ClusterRun
 
 __all__ = ["simulate_nc_hdf_par", "simulate_c_hdf_par"]
@@ -55,7 +55,7 @@ def simulate_nc_hdf_par(
     """The §7 non-clairvoyant candidate NC-HDF-PAR (event-driven, exact)."""
     if machines < 1:
         raise InvalidInstanceError(f"machines must be >= 1, got {machines}")
-    alpha = power.alpha
+    alpha = uncapped_alpha(power, "NC-HDF-PAR")
     rounded = {j.job_id: round_density_down(j.density, beta) for j in instance}
     if context is None:
         context = SimulationContext(power)

@@ -49,11 +49,9 @@ from typing import TYPE_CHECKING, Any, Iterable
 from ..algorithms.clairvoyant import simulate_clairvoyant
 from ..core.errors import InvalidInstanceError, SimulationError
 from ..core.job import Instance, Job
-from ..core.kernels import growth_time_between
 from ..core.metrics import CostReport, evaluate
 from ..core.power import PowerLaw
-from ..core.schedule import GrowthSegment, Schedule, ScheduleBuilder
-from ..core.shadow import SimulationContext
+from ..core.shadow import SimulationContext, uncapped_alpha
 from .c_par import simulate_c_par
 from .cluster import ClusterRun
 from .nc_par import simulate_nc_par
@@ -149,9 +147,10 @@ def shard_payload(
     """
     if algorithm not in ALGORITHMS:
         raise InvalidInstanceError(f"unknown shard algorithm {algorithm!r}")
-    alpha = getattr(cluster.power, "alpha", None)
-    if alpha is None:
+    if getattr(cluster.power, "alpha", None) is None:
         raise InvalidInstanceError("sharded execution requires a PowerLaw power model")
+    # Workers rebuild the power from alpha alone, so a cap would be lost.
+    alpha = uncapped_alpha(cluster.power, "sharded execution")
     jobs: dict[str, list[list[float]]] = {}
     for machine in shard.machines:
         assigned = cluster.assignments[machine]
@@ -189,33 +188,6 @@ def _report_from_payload(raw: dict[str, Any]) -> CostReport:
     )
 
 
-def _machine_schedule_nc(jobs: list[Job], alpha: float) -> Schedule:
-    """NC-PAR's machine-local schedule, re-derived from the assigned list.
-
-    Exactly the float operations of :func:`~repro.parallel.nc_par.simulate_nc_par`
-    restricted to one machine: the global FIFO hands this machine its jobs in
-    release order, the offset is the machine-local shadow's ``W^C(r[j]-)``,
-    and the start-time chain only reads this machine's own clock — Lemma
-    20's independence, executable.
-    """
-    context = SimulationContext(PowerLaw(alpha))
-    oracle = context.prefix_oracle()
-    builder = ScheduleBuilder()
-    free = 0.0
-    first = True
-    for job in jobs:
-        start = max(job.release, free)
-        offset = 0.0 if first else oracle.weight_at(job.release)
-        tau = growth_time_between(offset, offset + job.weight, job.density, alpha)
-        builder.append(
-            GrowthSegment(start, start + tau, job.job_id, offset, job.density, alpha)
-        )
-        oracle.add_job(job.job_id, job.release, job.density, job.volume)
-        free = start + tau
-        first = False
-    return builder.build()
-
-
 def compute_shard(payload: dict[str, Any]) -> dict[str, Any]:
     """Compute one shard: per-machine schedules re-derived and evaluated.
 
@@ -239,8 +211,7 @@ def compute_shard(payload: dict[str, Any]) -> dict[str, Any]:
         ]
         sub = Instance(jobs)
         if algorithm == "nc_par":
-            ordered = sorted(jobs, key=lambda j: (j.release, j.job_id))
-            schedule = _machine_schedule_nc(ordered, alpha)
+            schedule = simulate_nc_par(sub, power, 1).schedules[0]
         elif algorithm == "c_par":
             schedule = simulate_clairvoyant(sub, power).schedule
         else:

@@ -54,7 +54,7 @@ from ..core.errors import ReproError, ScheduleError
 from ..core.job import Instance
 from ..core.shadow import SimulationContext
 from ..core.tracing import MemoryRecorder, TraceEvent, TraceSink, iter_trace, make_sink
-from ..extensions.bounded_speed import CappedPowerLaw, simulate_clairvoyant_capped
+from ..extensions.bounded_speed import CappedPowerLaw
 from ..algorithms.clairvoyant import simulate_clairvoyant
 from ..algorithms.nc_uniform import simulate_nc_uniform
 from ..core.power import PowerLaw
@@ -472,7 +472,6 @@ def run_pair_verified(
     plan: FaultPlan,
     recorder: MemoryRecorder,
     *,
-    capped: bool = False,
     policy: RecoveryPolicy | None = None,
 ) -> tuple[bool, SupervisedResult]:
     """Run the (C, NC) pair traced, NC under supervision, and re-verify
@@ -487,12 +486,8 @@ def run_pair_verified(
     context = SimulationContext(power, recorder=recorder)
     context.emit("run_meta", 0.0, "chaos", **_meta_payload(instance, power.alpha))
     supervisor = Supervisor(power, plan=plan, context=context, policy=policy)
-    nc_name = "NC_CAPPED" if capped else "NC"
-    if capped:
-        assert isinstance(power, CappedPowerLaw)
-        simulate_clairvoyant_capped(instance, power, context=context)
-    else:
-        simulate_clairvoyant(instance, power, context=context)
+    nc_name = "NC_CAPPED" if isinstance(power, CappedPowerLaw) else "NC"
+    simulate_clairvoyant(instance, power, context=context)
     result = supervisor.run(nc_name, instance)
     ok = _lemmas_hold(recorder.events)
     if not ok:
@@ -569,7 +564,7 @@ class FamilyScenario:
                 capped = family == "CAPPED_PAIR"
                 power = CappedPowerLaw(self.alpha, s_max=2.5) if capped else PowerLaw(self.alpha)
                 lemmas, result = run_pair_verified(
-                    instance, power, plan, recorder, capped=capped, policy=self.policy
+                    instance, power, plan, recorder, policy=self.policy
                 )
             else:
                 power = PowerLaw(self.alpha)

@@ -44,11 +44,7 @@ from ..core.metrics import CostReport, evaluate
 from ..core.power import PowerLaw
 from ..core.schedule import DecaySegment, GrowthSegment, Schedule
 from ..core.shadow import ContextCheckpoint, SimulationContext
-from ..extensions.bounded_speed import (
-    CappedPowerLaw,
-    simulate_clairvoyant_capped,
-    simulate_nc_uniform_capped,
-)
+from ..extensions.bounded_speed import CappedPowerLaw
 from ..faults.injector import FaultInjector, simulate_nc_par_with_failure
 from ..faults.plan import FaultPlan
 from ..parallel.nc_par import simulate_nc_par
@@ -152,6 +148,15 @@ class Supervisor:
         """
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+        # The family name fixes the trace components, so it must match the cap.
+        if algorithm.endswith("_CAPPED"):
+            if not isinstance(self.power, CappedPowerLaw):
+                raise TypeError(f"{algorithm} requires a CappedPowerLaw")
+        elif isinstance(self.power, CappedPowerLaw):
+            raise TypeError(
+                f"{algorithm} cannot honour the speed cap s_max={self.power.s_max}; "
+                "capped runs use C_CAPPED / NC_CAPPED"
+            )
         context = self.context
         policy = self.policy
         injector = self.injector
@@ -275,14 +280,14 @@ class Supervisor:
     ) -> tuple[Any, Schedule | None]:
         context = self.context
         power = self.power
-        if algorithm == "C":
+        if algorithm in ("C", "C_CAPPED"):
             if degraded:
                 engine = NumericEngine(power, max_step=max_step, context=context)
                 result = engine.run(instance, ClairvoyantPolicy(instance, power))
                 return result, result.schedule
             run = simulate_clairvoyant(instance, power, context=context)
             return run, run.schedule
-        if algorithm == "NC":
+        if algorithm in ("NC", "NC_CAPPED"):
             if degraded:
                 engine = NumericEngine(power, max_step=max_step, context=context)
                 result = engine.run(instance, NCUniformPolicy(power))
@@ -294,16 +299,6 @@ class Supervisor:
             kwargs.setdefault("max_step", max_step)
             wrapped = self.injector.wrap_power(power)
             run = simulate_nc_general(instance, wrapped, context=context, **kwargs)
-            return run, run.schedule
-        if algorithm == "C_CAPPED":
-            if not isinstance(power, CappedPowerLaw):
-                raise TypeError("C_CAPPED requires a CappedPowerLaw")
-            run = simulate_clairvoyant_capped(instance, power, context=context)
-            return run, run.schedule
-        if algorithm == "NC_CAPPED":
-            if not isinstance(power, CappedPowerLaw):
-                raise TypeError("NC_CAPPED requires a CappedPowerLaw")
-            run = simulate_nc_uniform_capped(instance, power, context=context)
             return run, run.schedule
         # NC_PAR: an armed machine failure switches to the failover variant
         # (a retry after the budget is spent runs the plain simulator).

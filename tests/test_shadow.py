@@ -25,11 +25,7 @@ from repro.core.shadow import (
     ShadowCounters,
     SimulationContext,
 )
-from repro.extensions import (
-    CappedPowerLaw,
-    simulate_clairvoyant_capped,
-    simulate_nc_uniform_capped,
-)
+from repro.extensions import CappedPowerLaw
 from repro.workloads import random_instance
 
 ALPHA = 3.0
@@ -369,8 +365,11 @@ class TestCountersUnchanged:
         power = CappedPowerLaw(3.0, 1.2)
         inst = random_instance(40, seed=5, volume="exponential", density="unit", rate=3.0)
         for simulate, want in (
-            (simulate_clairvoyant_capped, (1, 98, 40, 0)),
-            (simulate_nc_uniform_capped, (77, 59, 39, 39)),
+            (simulate_clairvoyant, (1, 98, 40, 0)),
+            # Capped NC queries the empty prefix for its first job, as
+            # uncapped NC always has: one advance and one query per run more
+            # than the former dedicated capped loop.
+            (simulate_nc_uniform, (78, 59, 39, 40)),
         ):
             ctx = SimulationContext(power)
             simulate(inst, power, context=ctx)

@@ -20,6 +20,7 @@ from repro.core.errors import InvalidInstanceError
 from repro.core.job import Instance, Job
 from repro.core.shadow import SimulationContext
 from repro.core.tracing import MemoryRecorder
+from repro.extensions import CappedPowerLaw
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.parallel import (
     ShardCheckpointStore,
@@ -110,6 +111,14 @@ class TestShardedBitIdentity:
         inst = random_instance(4, seed=1, volume="uniform")
         with pytest.raises(InvalidInstanceError):
             run_sharded(inst, PowerLaw(ALPHA), 2, algorithm="magic")
+
+    @pytest.mark.parametrize("algorithm", ["nc_par", "c_par"])
+    def test_rejects_a_speed_cap(self, algorithm):
+        """Workers rebuild the power from alpha alone: a capped C-PAR cluster
+        would be scored uncapped, so a cap is refused up front."""
+        inst = random_instance(6, seed=1, volume="uniform")
+        with pytest.raises(TypeError, match="s_max=1.1"):
+            run_sharded(inst, CappedPowerLaw(ALPHA, 1.1), 2, algorithm=algorithm, force_serial=True)
 
 
 class TestPlanShards:

@@ -47,11 +47,7 @@ from repro.core.tracing import (
     iter_trace,
     read_jsonl,
 )
-from repro.extensions.bounded_speed import (
-    CappedPowerLaw,
-    simulate_clairvoyant_capped,
-    simulate_nc_uniform_capped,
-)
+from repro.extensions.bounded_speed import CappedPowerLaw
 from repro.workloads import random_instance
 from trace_oracle import build_report_in_memory
 
@@ -152,8 +148,8 @@ class TestGoldenCorpusDifferential:
             "run_meta", 0.0, "harness", alpha=3.0,
             instance=[[j.job_id, j.release, j.volume, j.density] for j in inst],
         )
-        simulate_clairvoyant_capped(inst, capped, context=context)
-        simulate_nc_uniform_capped(inst, capped, context=context)
+        simulate_clairvoyant(inst, capped, context=context)
+        simulate_nc_uniform(inst, capped, context=context)
         report = _assert_parity(list(rec))
         capped_checks = [c for c in report.checks if "capped" in c.name]
         assert capped_checks and all(c.holds for c in capped_checks)

@@ -25,11 +25,7 @@ from repro.core.metrics import evaluate
 from repro.core.power import PowerLaw
 from repro.core.shadow import SimulationContext
 from repro.core.tracing import MemoryRecorder
-from repro.extensions.bounded_speed import (
-    CappedPowerLaw,
-    simulate_clairvoyant_capped,
-    simulate_nc_uniform_capped,
-)
+from repro.extensions.bounded_speed import CappedPowerLaw
 from repro.faults import FaultPlan, FaultSpec
 from repro.parallel.nc_par import simulate_nc_par
 from repro.runtime import RecoveryPolicy, Supervisor
@@ -95,8 +91,8 @@ class TestDifferential:
         inst = random_instance(8, seed=23, volume="uniform")
         power = CappedPowerLaw(3.0, 1.5)
         for algorithm, simulate in (
-            ("C_CAPPED", simulate_clairvoyant_capped),
-            ("NC_CAPPED", simulate_nc_uniform_capped),
+            ("C_CAPPED", simulate_clairvoyant),
+            ("NC_CAPPED", simulate_nc_uniform),
         ):
             base_ctx = SimulationContext(power)
             base = simulate(inst, power, context=base_ctx)
@@ -240,3 +236,15 @@ class TestRecovery:
         sup = Supervisor(PowerLaw(3.0))
         with pytest.raises(ValueError):
             sup.run("SRPT", random_instance(3, seed=0, volume="uniform"))
+
+    @pytest.mark.parametrize("algorithm", ["C", "NC", "NC_GENERAL", "NC_PAR"])
+    def test_capped_power_needs_a_capped_family(self, algorithm):
+        sup = Supervisor(CappedPowerLaw(3.0, 1.1))
+        with pytest.raises(TypeError, match="s_max=1.1"):
+            sup.run(algorithm, random_instance(4, seed=0, volume="uniform"))
+
+    @pytest.mark.parametrize("algorithm", ["C_CAPPED", "NC_CAPPED"])
+    def test_capped_family_needs_a_capped_power(self, algorithm):
+        sup = Supervisor(PowerLaw(3.0))
+        with pytest.raises(TypeError, match="CappedPowerLaw"):
+            sup.run(algorithm, random_instance(4, seed=0, volume="uniform"))
