@@ -1,7 +1,8 @@
 """The paper's algorithms: the clairvoyant baseline (Algorithm C), the
 non-clairvoyant algorithms for uniform (§3) and non-uniform (§4) densities,
 the fractional-to-integral black-box reduction (§5), density rounding, and
-non-competitive baselines for context."""
+non-competitive baselines for context — and :data:`ALGORITHMS`, the one
+table from an algorithm's name to its simulator."""
 
 from .baselines import (
     simulate_active_count,
@@ -18,6 +19,7 @@ from .density_rounding import (
 from .integral_conversion import IntegralConversion, convert, to_integral_schedule
 from .nc_general import NCGeneralPolicy, NCGeneralRun, eta_threshold, simulate_nc_general
 from .nc_uniform import NCUniformPolicy, NCUniformRun, simulate_nc_uniform
+from .registry import ALGORITHMS, DEFAULT_MAX_STEP, AlgorithmSpec, algorithm_names, algorithm_spec
 
 __all__ = [
     "ClairvoyantRun",
@@ -41,4 +43,9 @@ __all__ = [
     "simulate_constant_speed_fifo",
     "simulate_active_count",
     "simulate_round_robin",
+    "ALGORITHMS",
+    "AlgorithmSpec",
+    "DEFAULT_MAX_STEP",
+    "algorithm_names",
+    "algorithm_spec",
 ]

@@ -60,6 +60,7 @@ from ..core.power import PowerLaw
 from ..core.schedule import Schedule
 from ..core.shadow import EpochShadow, ShadowCounters, SimulationContext, uncapped_alpha
 from .density_rounding import round_density_down
+from .registry import DEFAULT_MAX_STEP
 
 __all__ = ["NCGeneralRun", "NCGeneralPolicy", "simulate_nc_general", "eta_threshold"]
 
@@ -273,7 +274,7 @@ def simulate_nc_general(
     eta: float | None = None,
     beta: float = 5.0,
     epsilon: float = 1e-6,
-    max_step: float = 1e-2,
+    max_step: float = DEFAULT_MAX_STEP,
     context: SimulationContext | None = None,
 ) -> NCGeneralRun:
     """Run Algorithm NC-general numerically on ``instance``.

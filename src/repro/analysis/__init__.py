@@ -12,7 +12,7 @@ from .curves import (
 )
 from .gantt import cluster_gantt, gantt_chart, gantt_line
 from .preemption import PreemptionInterval, preemption_intervals
-from .ratios import ALGORITHMS, RatioResult, empirical_ratio, run_algorithm
+from .ratios import RatioResult, empirical_ratio, run_algorithm
 from .report import format_ascii_chart, format_table
 from .section4 import Section4Trace, shadow_properties
 from .statistics import FleetStats, JobStats, fleet_statistics, job_statistics
@@ -42,7 +42,6 @@ __all__ = [
     "speed_quantile_gap",
     "PreemptionInterval",
     "preemption_intervals",
-    "ALGORITHMS",
     "RatioResult",
     "empirical_ratio",
     "run_algorithm",

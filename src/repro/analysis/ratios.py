@@ -5,39 +5,22 @@ the denominator never exceeds OPT, the measurement *upper-bounds* the
 instance's true ratio — a measured value below the paper's theoretical bound
 is consistent, above it would expose a bug.
 
-`run_algorithm` is the single entry point benches and tables use to run any
-of the package's schedulers by name with uniform semantics.
+`run_algorithm` runs any single-machine algorithm of the registry
+(:data:`repro.algorithms.ALGORITHMS`) by name with uniform semantics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
-from ..algorithms import (
-    convert,
-    simulate_active_count,
-    simulate_clairvoyant,
-    simulate_constant_speed_fifo,
-    simulate_nc_general,
-    simulate_nc_uniform,
-)
+from ..algorithms import DEFAULT_MAX_STEP, algorithm_names, algorithm_spec, convert
 from ..core.job import Instance
 from ..core.metrics import CostReport, evaluate
 from ..core.power import PowerLaw
 from ..offline.bounds import OptBound, opt_fractional_lower_bound, opt_integral_lower_bound
 
-__all__ = ["RatioResult", "run_algorithm", "empirical_ratio", "ALGORITHMS"]
-
-#: Names accepted by :func:`run_algorithm`.
-ALGORITHMS = (
-    "C",
-    "NC",
-    "NC_GENERAL",
-    "NC_INT",
-    "NC_GENERAL_INT",
-    "ACTIVE_COUNT",
-    "CONSTANT_SPEED",
-)
+__all__ = ["RatioResult", "run_algorithm", "empirical_ratio"]
 
 
 @dataclass(frozen=True)
@@ -59,36 +42,24 @@ def run_algorithm(
     instance: Instance,
     power: PowerLaw,
     *,
-    max_step: float = 1e-2,
+    max_step: float = DEFAULT_MAX_STEP,
     conversion_epsilon: float = 0.5,
-    constant_speed: float = 1.0,
-    **kwargs,
+    **kwargs: Any,
 ) -> CostReport:
-    """Run a scheduler by name and return its exact cost report.
+    """Run a single-machine algorithm by name and return its exact cost report.
 
-    ``NC_INT`` / ``NC_GENERAL_INT`` apply the §5 black-box conversion (with
+    ``kwargs`` go to the simulator (``eta``/``beta``/``epsilon`` for
+    NC-general, ``constant_speed`` for ``CONSTANT_SPEED``).  ``NC_INT`` /
+    ``NC_GENERAL_INT`` apply the §5 black-box conversion (with
     ``conversion_epsilon``) on top of the fractional algorithm and report the
     *converted* schedule's costs.
     """
-    if name == "C":
-        sched = simulate_clairvoyant(instance, power).schedule
-    elif name == "NC":
-        sched = simulate_nc_uniform(instance, power).schedule
-    elif name == "NC_GENERAL":
-        sched = simulate_nc_general(instance, power, max_step=max_step, **kwargs).schedule
-    elif name == "NC_INT":
-        base = simulate_nc_uniform(instance, power).schedule
-        return convert(base, instance, power, conversion_epsilon).integral_report
-    elif name == "NC_GENERAL_INT":
-        base = simulate_nc_general(instance, power, max_step=max_step, **kwargs).schedule
-        return convert(base, instance, power, conversion_epsilon).integral_report
-    elif name == "ACTIVE_COUNT":
-        sched = simulate_active_count(instance, power)
-    elif name == "CONSTANT_SPEED":
-        sched = simulate_constant_speed_fifo(instance, constant_speed)
-    else:
-        raise ValueError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
-    return evaluate(sched, instance, power)
+    spec = algorithm_spec(name, algorithm_names(machines=False))
+    run = spec.simulate(instance, power, max_step=max_step, **kwargs)
+    schedule = getattr(run, "schedule", run)  # the baselines return a Schedule
+    if spec.integral:
+        return convert(schedule, instance, power, conversion_epsilon).integral_report
+    return evaluate(schedule, instance, power)
 
 
 def empirical_ratio(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..algorithms import DEFAULT_MAX_STEP
 from ..core.power import PowerLaw
 from .ratios import empirical_ratio
 from .report import format_table
@@ -58,7 +59,7 @@ def build_table1(
     seeds: tuple[int, ...] = (1, 2, 3),
     slots: int = 300,
     iterations: int = 1500,
-    max_step: float = 2e-2,
+    max_step: float = DEFAULT_MAX_STEP,
 ) -> list[Table1Row]:
     """Measure all four rows of Table 1 at the given ``alpha``."""
     power = PowerLaw(alpha)

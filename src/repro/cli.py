@@ -46,7 +46,7 @@ from .analysis import (
     render_table1,
     run_algorithm,
 )
-from .analysis.ratios import ALGORITHMS
+from .algorithms import DEFAULT_MAX_STEP, algorithm_names
 from .core.job import Instance, Job
 from .workloads import random_instance
 
@@ -89,15 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--alpha", type=float, default=3.0, help="power exponent (P = s^alpha)")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    single_machine = list(algorithm_names(machines=False))
     p_run = sub.add_parser("run", help="run one algorithm on a generated workload")
-    p_run.add_argument("--algorithm", default="NC", choices=list(ALGORITHMS))
-    p_run.add_argument("--max-step", type=float, default=2e-2, help="engine step (NC_GENERAL)")
+    p_run.add_argument("--algorithm", default="NC", choices=single_machine)
+    p_run.add_argument("--max-step", type=float, default=DEFAULT_MAX_STEP, help="NC_GENERAL step")
     _add_workload_args(p_run)
 
     p_ratio = sub.add_parser("ratio", help="empirical competitive ratio vs certified OPT bound")
-    p_ratio.add_argument("--algorithm", default="NC", choices=list(ALGORITHMS))
+    p_ratio.add_argument("--algorithm", default="NC", choices=single_machine)
     p_ratio.add_argument("--objective", default="fractional", choices=["fractional", "integral"])
-    p_ratio.add_argument("--max-step", type=float, default=2e-2)
+    p_ratio.add_argument("--max-step", type=float, default=DEFAULT_MAX_STEP)
     _add_workload_args(p_ratio)
 
     p_t1 = sub.add_parser("table1", help="regenerate the paper's Table 1")

@@ -6,12 +6,7 @@ a concrete run through the :class:`~repro.core.shadow.SimulationContext`
 hooks.  The supervised runtime (:mod:`repro.runtime`) consumes both.
 """
 
-from .injector import (
-    FaultInjector,
-    FaultyVolumeOracle,
-    FlakyPowerFunction,
-    simulate_nc_par_with_failure,
-)
+from .injector import FaultInjector, FaultyVolumeOracle, FlakyPowerFunction
 from .plan import (
     FAULT_KINDS,
     PROCESS_KINDS,
@@ -31,5 +26,4 @@ __all__ = [
     "FaultInjector",
     "FaultyVolumeOracle",
     "FlakyPowerFunction",
-    "simulate_nc_par_with_failure",
 ]

@@ -17,8 +17,7 @@ from ..core.errors import InvalidInstanceError
 from ..core.job import Instance
 from ..core.power import PowerLaw
 from ..core.shadow import SimulationContext
-from ..algorithms.clairvoyant import simulate_clairvoyant
-from ..algorithms.nc_uniform import simulate_nc_uniform
+from ..algorithms.registry import algorithm_spec
 from .cluster import ClusterRun
 
 __all__ = [
@@ -98,6 +97,7 @@ def simulate_immediate_dispatch(
     """
     if machines < 1:
         raise InvalidInstanceError(f"machines must be >= 1, got {machines}")
+    spec = algorithm_spec(per_machine, ("C", "NC"))
     excluded = frozenset(exclude_machines) if exclude_machines else frozenset()
     survivors = [i for i in range(machines) if i not in excluded]
     if not survivors:
@@ -127,16 +127,9 @@ def simulate_immediate_dispatch(
             continue
         sub = instance.subset(assignments[i])
         assert sub is not None
-        if per_machine == "C":
-            schedules[i] = simulate_clairvoyant(
-                sub, power, context=context, component=f"dispatch.m{i}.C"
-            ).schedule
-        elif per_machine == "NC":
-            schedules[i] = simulate_nc_uniform(
-                sub, power, context=context, component=f"dispatch.m{i}.NC"
-            ).schedule
-        else:
-            raise ValueError(f"unknown per-machine algorithm {per_machine!r}")
+        component = f"dispatch.m{i}.{per_machine}"
+        run = spec.simulate(sub, power, context=context, component=component)
+        schedules[i] = run.schedule
     return ClusterRun(
         instance=instance,
         power=power,

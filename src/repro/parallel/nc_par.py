@@ -20,10 +20,12 @@ an ``O(alpha + 1/(alpha-1))`` competitive ratio.
 
 from __future__ import annotations
 
+import heapq
 import math
+from typing import Callable
 
 from ..core.errors import InvalidInstanceError, SimulationError
-from ..core.job import Instance
+from ..core.job import Instance, Job
 from ..core.kernels import growth_time_between
 from ..core.power import PowerLaw
 from ..core.schedule import GrowthSegment, ScheduleBuilder
@@ -39,16 +41,36 @@ def simulate_nc_par(
     machines: int,
     *,
     context: SimulationContext | None = None,
+    failure: tuple[int, float] | None = None,
+    on_failure: Callable[..., None] | None = None,
 ) -> ClusterRun:
-    """Run NC-PAR exactly (closed-form per-job growth segments)."""
+    """Run NC-PAR exactly (closed-form per-job growth segments).
+
+    ``failure=(machine, time)`` is the lost-work failure model: the machine
+    dies at ``time``, a job it would still be processing then is killed (its
+    work lost, unrecorded) and re-enters the queue at ``max(release, time)``.
+    The failure is recorded once, when it takes effect, through
+    ``on_failure(time, machine=..., job=...)`` (the supervisor's fault
+    budget) or else a ``fault_injected`` event; ``recovery`` marks the last
+    re-released job's landing.
+    """
     if machines < 1:
         raise InvalidInstanceError(f"machines must be >= 1, got {machines}")
+    if failure is None:
+        dead, fail_time = -1, math.inf
+    else:
+        dead, fail_time = failure
+        if machines < 2:
+            raise InvalidInstanceError("machine failure needs at least 2 machines")
+        if not 0 <= dead < machines:
+            raise InvalidInstanceError(f"dead machine {dead} out of range")
     if not instance.is_uniform_density():
         raise InvalidInstanceError("NC-PAR (§6) is defined for uniform densities")
     alpha = uncapped_alpha(power, "NC-PAR")
     if context is None:
         context = SimulationContext(power)
 
+    cands = list(range(machines))  # machines that can still take work
     free = [0.0] * machines  # time each machine completes its assigned work
     assignments: dict[int, list[int]] = {i: [] for i in range(machines)}
     builders = {i: ScheduleBuilder() for i in range(machines)}
@@ -61,21 +83,56 @@ def simulate_nc_par(
     recorder = context.recorder
     rec = recorder if recorder.enabled else None  # zero-overhead hoist
     filt = context.volume_filter  # fault reveal channel; None when unfaulted
+    requeued: list[int] = []
 
-    for job in instance:  # global FIFO queue == release order
+    def kill(job_id: int | None) -> None:
+        # The failure takes effect: retire the machine, record it once.
+        cands.remove(dead)
+        free[dead] = math.inf
+        context.metrics.increment("machine_failures")
+        if on_failure is not None:
+            on_failure(fail_time, machine=dead, job=job_id)
+        else:
+            context.emit(
+                "fault_injected",
+                fail_time,
+                "faults",
+                fault="machine_failure",
+                machine=dead,
+                job=job_id,
+                at_time=fail_time,
+            )
+
+    # The global FIFO queue, keyed by (effective release, job id).  The
+    # instance is sorted by (release, job_id), so it is already a heap and,
+    # without a failure, pops in instance order.
+    queue: list[tuple[float, int, Job]] = [(j.release, j.job_id, j) for j in instance]
+    while queue:
+        rel, _, job = heapq.heappop(queue)
         # Pick the machine that is (or first becomes) available.  Among
         # machines already idle at the release, the fixed total order (index)
         # breaks the tie — the same order C-PAR uses.
-        idle = [i for i in range(machines) if free[i] <= job.release]
-        chosen = min(idle) if idle else min(range(machines), key=lambda i: (free[i], i))
-        start = max(job.release, free[chosen])
+        idle = [i for i in cands if free[i] <= rel]
+        chosen = min(idle) if idle else min(cands, key=lambda i: (free[i], i))
+        start = max(rel, free[chosen])
+        if chosen == dead and start >= fail_time:
+            # Found dead on arrival: requeue among the survivors.
+            kill(None)
+            heapq.heappush(queue, (rel, job.job_id, job))
+            continue
 
         # Speed-rule offset: Algorithm C's remaining weight just before r[j]
         # on the machine-local instance of previously assigned (completed,
         # hence known) jobs.
-        offset = oracles[chosen].weight_at(job.release) if assignments[chosen] else 0.0
+        offset = oracles[chosen].weight_at(rel) if assignments[chosen] else 0.0
 
         tau = growth_time_between(offset, offset + job.weight, job.density, alpha)
+        if chosen == dead and start + tau > fail_time:
+            # Killed mid-flight: the work is lost, the job re-released.
+            kill(job.job_id)
+            requeued.append(job.job_id)
+            heapq.heappush(queue, (max(job.release, fail_time), job.job_id, job))
+            continue
         builders[chosen].append(
             GrowthSegment(start, start + tau, job.job_id, offset, job.density, alpha)
         )
@@ -83,7 +140,7 @@ def simulate_nc_par(
             comp = f"nc_par.m{chosen}"
             rec.emit(
                 "release",
-                job.release,
+                rel,
                 comp,
                 job=job.job_id,
                 density=job.density,
@@ -114,8 +171,18 @@ def simulate_nc_par(
                     job=job.job_id,
                     value=vol,
                 )
-        oracles[chosen].add_job(job.job_id, job.release, job.density, vol)
+        oracles[chosen].add_job(job.job_id, rel, job.density, vol)
         free[chosen] = start + tau
+        if requeued and job.job_id == requeued[-1]:
+            context.emit(
+                "recovery",
+                start + tau,
+                "faults",
+                action="machine_failover",
+                job=job.job_id,
+                machine=chosen,
+                from_machine=dead,
+            )
 
     schedules = {i: builders[i].build() for i in range(machines) if assignments[i]}
     return ClusterRun(

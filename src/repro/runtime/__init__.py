@@ -14,10 +14,9 @@ from .chaos import (
     run_pair_verified,
 )
 from .pool import PoolPolicy, PoolStats, WorkerPool
-from .supervisor import ALGORITHMS, RecoveryPolicy, SupervisedResult, Supervisor
+from .supervisor import RecoveryPolicy, SupervisedResult, Supervisor
 
 __all__ = [
-    "ALGORITHMS",
     "CampaignReport",
     "FamilyScenario",
     "Outcome",

@@ -56,6 +56,7 @@ from ..core.shadow import SimulationContext
 from ..core.tracing import MemoryRecorder, TraceEvent, TraceSink, iter_trace, make_sink
 from ..extensions.bounded_speed import CappedPowerLaw
 from ..algorithms.clairvoyant import simulate_clairvoyant
+from ..algorithms.registry import ALGORITHMS, DEFAULT_MAX_STEP
 from ..algorithms.nc_uniform import simulate_nc_uniform
 from ..core.power import PowerLaw
 from ..faults.injector import FaultInjector
@@ -65,7 +66,7 @@ from ..parallel.nc_par import simulate_nc_par
 from ..parallel.shard import run_sharded
 from ..workloads.random_instances import random_instance
 from .pool import PoolPolicy
-from .supervisor import RecoveryPolicy, SupervisedResult, Supervisor, _replay_component
+from .supervisor import RecoveryPolicy, SupervisedResult, Supervisor
 
 __all__ = [
     "Outcome",
@@ -486,19 +487,18 @@ def run_pair_verified(
     context = SimulationContext(power, recorder=recorder)
     context.emit("run_meta", 0.0, "chaos", **_meta_payload(instance, power.alpha))
     supervisor = Supervisor(power, plan=plan, context=context, policy=policy)
-    nc_name = "NC_CAPPED" if isinstance(power, CappedPowerLaw) else "NC"
     simulate_clairvoyant(instance, power, context=context)
-    result = supervisor.run(nc_name, instance)
+    result = supervisor.run("NC", instance)
     ok = _lemmas_hold(recorder.events)
     if not ok:
         # The surviving attempt is self-consistent but wrong against C:
         # escalate to a pair-level retry (fault budgets are spent by now).
         context.emit(
             "guard_violation", 0.0, "supervisor",
-            guard="lemma_replay", algorithm=nc_name,
+            guard="lemma_replay", algorithm="NC",
         )
-        context.emit("retry", 0.0, _replay_component(nc_name), reason="lemma_replay")
-        result = supervisor.run(nc_name, instance)
+        context.emit("retry", 0.0, ALGORITHMS["NC"].trace_component(power), reason="lemma_replay")
+        result = supervisor.run("NC", instance)
         ok = _lemmas_hold(recorder.events)
     return ok, result
 
@@ -571,10 +571,11 @@ class FamilyScenario:
                 context = SimulationContext(power, recorder=recorder)
                 context.emit("run_meta", 0.0, "chaos", **_meta_payload(instance, self.alpha))
                 supervisor = Supervisor(power, plan=plan, context=context, policy=self.policy)
-                # NC_GENERAL integrates coarsely; 1e-2 is the supervisor's default.
+                # The engine family integrates coarsely, a choice of this
+                # campaign rather than the registry's default step.
                 result = supervisor.run(
                     family, instance, machines=self.machines,
-                    max_step=5e-2 if family == "NC_GENERAL" else 1e-2,
+                    max_step=5e-2 if ALGORITHMS[family].engine else DEFAULT_MAX_STEP,
                 )
             attempts, faults_fired = result.attempts, len(result.faults)
             status = "recovered" if (result.recovered or result.faults) else "clean"

@@ -22,15 +22,16 @@ read.  ``tests/test_supervisor.py`` enforces this on the golden corpus;
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
-from ..algorithms.clairvoyant import ClairvoyantPolicy, simulate_clairvoyant
-from ..algorithms.nc_general import simulate_nc_general
-from ..algorithms.nc_uniform import NCUniformPolicy, simulate_nc_uniform
-from ..core.engine import NumericEngine
+from ..algorithms.clairvoyant import ClairvoyantPolicy
+from ..algorithms.nc_uniform import NCUniformPolicy
+from ..algorithms.registry import DEFAULT_MAX_STEP, AlgorithmSpec, algorithm_names, algorithm_spec
+from ..core.engine import NumericEngine, SchedulingPolicy
 from ..core.errors import (
     ConvergenceError,
     GuardViolationError,
@@ -44,17 +45,20 @@ from ..core.metrics import CostReport, evaluate
 from ..core.power import PowerLaw
 from ..core.schedule import DecaySegment, GrowthSegment, Schedule
 from ..core.shadow import ContextCheckpoint, SimulationContext
-from ..extensions.bounded_speed import CappedPowerLaw
-from ..faults.injector import FaultInjector, simulate_nc_par_with_failure
+from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan
-from ..parallel.nc_par import simulate_nc_par
 
-__all__ = ["ALGORITHMS", "RecoveryPolicy", "SupervisedResult", "Supervisor"]
+__all__ = ["RecoveryPolicy", "SupervisedResult", "Supervisor"]
 
-#: Algorithm families the supervisor knows how to drive.  One entry per
-#: family of the paper: clairvoyant, NC-uniform, NC-general (engine),
-#: bounded-speed (capped C/NC), and parallel machines.
-ALGORITHMS = ("C", "NC", "NC_GENERAL", "C_CAPPED", "NC_CAPPED", "NC_PAR")
+#: The families the supervisor drives: the registry's traced fractional
+#: algorithms (C and NC, capped or not; NC-general; NC-PAR).
+_SUPERVISED = algorithm_names(traced=True, integral=False)
+
+#: The engine policies the analytic single-machine families degrade to.
+_DEGRADED_POLICIES: dict[str, Callable[[Instance, PowerLaw], SchedulingPolicy]] = {
+    "C": ClairvoyantPolicy,
+    "NC": lambda instance, power: NCUniformPolicy(power),
+}
 
 #: Errors an attempt may raise that the supervisor treats as recoverable.
 _RECOVERABLE = (SimulationError, ConvergenceError, ScheduleError, GuardViolationError)
@@ -137,7 +141,7 @@ class Supervisor:
         instance: Instance,
         *,
         machines: int = 2,
-        max_step: float = 1e-2,
+        max_step: float = DEFAULT_MAX_STEP,
         nc_general_kwargs: dict[str, Any] | None = None,
     ) -> SupervisedResult:
         """Run ``algorithm`` on ``instance`` under supervision.
@@ -146,17 +150,9 @@ class Supervisor:
         recovery); raises :class:`RecoveryExhaustedError` — naming the fault
         and the last good checkpoint — when the retry budget is spent.
         """
-        if algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
-        # The family name fixes the trace components, so it must match the cap.
-        if algorithm.endswith("_CAPPED"):
-            if not isinstance(self.power, CappedPowerLaw):
-                raise TypeError(f"{algorithm} requires a CappedPowerLaw")
-        elif isinstance(self.power, CappedPowerLaw):
-            raise TypeError(
-                f"{algorithm} cannot honour the speed cap s_max={self.power.s_max}; "
-                "capped runs use C_CAPPED / NC_CAPPED"
-            )
+        spec = algorithm_spec(algorithm, _SUPERVISED)
+        # Before any attempt: wrapping the power for faults drops its cap.
+        spec.check_power(self.power)
         context = self.context
         policy = self.policy
         injector = self.injector
@@ -176,7 +172,7 @@ class Supervisor:
                 try:
                     run_inst = injector.perturb_instance(instance)
                     run, schedule = self._attempt(
-                        algorithm, run_inst, degraded=degraded,
+                        spec, run_inst, degraded=degraded,
                         max_step=cur_max_step, machines=machines,
                         nc_general_kwargs=nc_general_kwargs,
                     )
@@ -202,8 +198,10 @@ class Supervisor:
                         time.sleep(min(backoff, policy.max_backoff))
                         backoff = min(backoff * policy.backoff_factor, policy.max_backoff)
                     cur_max_step *= policy.tighten_factor
-                    if not degraded and failures >= policy.degrade_after and algorithm in (
-                        "C", "NC"
+                    if (
+                        not degraded
+                        and failures >= policy.degrade_after
+                        and algorithm in _DEGRADED_POLICIES
                     ):
                         degraded = True
                         context.emit(
@@ -217,7 +215,7 @@ class Supervisor:
                     context.emit(
                         "retry",
                         0.0,
-                        _replay_component(algorithm),
+                        spec.trace_component(self.power),
                         attempt=attempts + 1,
                         checkpoint=last_good.label,
                         error=type(err).__name__,
@@ -270,7 +268,7 @@ class Supervisor:
 
     def _attempt(
         self,
-        algorithm: str,
+        spec: AlgorithmSpec,
         instance: Instance,
         *,
         degraded: bool,
@@ -280,45 +278,28 @@ class Supervisor:
     ) -> tuple[Any, Schedule | None]:
         context = self.context
         power = self.power
-        if algorithm in ("C", "C_CAPPED"):
-            if degraded:
-                engine = NumericEngine(power, max_step=max_step, context=context)
-                result = engine.run(instance, ClairvoyantPolicy(instance, power))
-                return result, result.schedule
-            run = simulate_clairvoyant(instance, power, context=context)
-            return run, run.schedule
-        if algorithm in ("NC", "NC_CAPPED"):
-            if degraded:
-                engine = NumericEngine(power, max_step=max_step, context=context)
-                result = engine.run(instance, NCUniformPolicy(power))
-                return result, result.schedule
-            run = simulate_nc_uniform(instance, power, context=context)
-            return run, run.schedule
-        if algorithm == "NC_GENERAL":
+        if degraded:
+            engine = NumericEngine(power, max_step=max_step, context=context)
+            result = engine.run(instance, _DEGRADED_POLICIES[spec.name](instance, power))
+            return result, result.schedule
+        kwargs: dict[str, Any] = {}
+        if spec.engine:
+            # Power faults reach the engine's speed queries.
+            power = self.injector.wrap_power(power)
             kwargs = dict(nc_general_kwargs or {})
-            kwargs.setdefault("max_step", max_step)
-            wrapped = self.injector.wrap_power(power)
-            run = simulate_nc_general(instance, wrapped, context=context, **kwargs)
-            return run, run.schedule
-        # NC_PAR: an armed machine failure switches to the failover variant
-        # (a retry after the budget is spent runs the plain simulator).
-        failure = self.injector.armed_specs("machine_failure")
+            max_step = kwargs.pop("max_step", max_step)
+        failure = self.injector.armed_specs("machine_failure") if spec.machines else ()
         if failure:
-            spec = failure[0]
-            dead = spec.machine if spec.machine is not None else 0
-            fail_time = spec.at_time if spec.at_time is not None else 0.5
-            run = simulate_nc_par_with_failure(
-                instance,
-                power,
-                machines,
-                dead_machine=dead % machines,
-                fail_time=fail_time,
-                context=context,
-                injector=self.injector,
-            )
-        else:
-            run = simulate_nc_par(instance, power, machines, context=context)
-        return run, None
+            # An armed machine failure runs the failover model (a retry after
+            # the budget is spent runs the plain algorithm).
+            fault = failure[0]
+            at_time = fault.at_time if fault.at_time is not None else 0.5
+            kwargs["failure"] = ((fault.machine or 0) % machines, at_time)
+            kwargs["on_failure"] = functools.partial(self.injector.fire_external, "machine_failure")
+        run = spec.simulate(
+            instance, power, context=context, machines=machines, max_step=max_step, **kwargs
+        )
+        return run, None if spec.machines else run.schedule
 
     # -- guards ---------------------------------------------------------------
 
@@ -351,7 +332,7 @@ class Supervisor:
         self._guard_finite(algorithm, report)
         if schedule is not None:
             self._guard_segments(algorithm, schedule)
-        if algorithm in ("NC", "NC_CAPPED"):
+        if algorithm == "NC":
             self._guard_fifo(algorithm, instance, report)
         return report
 
@@ -433,15 +414,3 @@ class Supervisor:
                 )
             prev = ct
 
-
-def _replay_component(algorithm: str) -> str:
-    """The trace component whose ``kernel_eval`` stream an algorithm emits —
-    the component a ``retry`` event must rewind for replay."""
-    return {
-        "C": "C",
-        "NC": "NC",
-        "NC_GENERAL": "nc_general",
-        "C_CAPPED": "C_capped",
-        "NC_CAPPED": "NC_capped",
-        "NC_PAR": "nc_par",
-    }[algorithm]

@@ -17,6 +17,7 @@ from typing import Any, Literal, Optional
 
 from pydantic import BaseModel, ConfigDict, Field
 
+from ..algorithms import DEFAULT_MAX_STEP, algorithm_names
 from ..core.errors import ScheduleError
 from ..core.job import Instance, Job
 from ..core.metrics import CostReport
@@ -186,10 +187,9 @@ class ReportModel(BaseModel):
 
 # -- session lifecycle --------------------------------------------------------
 
-#: Algorithms a session can run.  ``C`` is the clairvoyant baseline; ``NC``
-#: the uniform-density non-clairvoyant algorithm (exact closed forms);
-#: ``NC_GENERAL`` the arbitrary-density algorithm on the numeric engine.
-SESSION_ALGORITHMS = ("C", "NC", "NC_GENERAL")
+#: Algorithms a session can run: the registry's traced single-machine
+#: fractional ones — ``C``, ``NC`` and ``NC_GENERAL`` (on the engine).
+SESSION_ALGORITHMS = algorithm_names(traced=True, machines=False, integral=False)
 
 
 class SessionCreateRequest(BaseModel):
@@ -209,8 +209,8 @@ class SessionCreateRequest(BaseModel):
 
     session_id: Optional[str] = Field(default=None, min_length=1, max_length=128)
     alpha: float = Field(default=3.0, gt=1.0)
-    algorithm: Literal["C", "NC", "NC_GENERAL"] = "NC"
-    max_step: float = Field(default=2e-2, gt=0.0)
+    algorithm: Literal[SESSION_ALGORITHMS] = "NC"  # type: ignore[valid-type]
+    max_step: float = Field(default=DEFAULT_MAX_STEP, gt=0.0)
     queue_limit: int = Field(default=256, ge=1, le=65536)
     jobs: list[JobModel] = Field(default_factory=list)
     trace_path: Optional[str] = None

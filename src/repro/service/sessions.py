@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from ..algorithms import simulate_clairvoyant, simulate_nc_general, simulate_nc_uniform
+from ..algorithms import ALGORITHMS, simulate_clairvoyant, simulate_nc_uniform
 from ..analysis.trace_report import TraceReport, build_report
 from ..core.errors import InvalidInstanceError, SimulationError
 from ..core.job import Instance, Job
@@ -80,7 +80,6 @@ __all__ = [
     "Session",
     "Campaign",
     "SessionManager",
-    "simulate_session_algorithm",
 ]
 
 
@@ -193,31 +192,6 @@ class RestoreReport:
     evicted: list[str] = field(default_factory=list)
     #: journals that failed integrity checks, quarantined: sid -> error
     skipped: dict[str, str] = field(default_factory=dict)
-
-
-def simulate_session_algorithm(
-    name: str,
-    instance: Instance,
-    power: PowerLaw,
-    *,
-    context: SimulationContext | None = None,
-    max_step: float = 2e-2,
-) -> Schedule:
-    """Run a session-servable algorithm, threading the trace context through.
-
-    This is the exact call the differential test mirrors: driving the same
-    instance through a fresh :class:`SimulationContext` directly must yield a
-    bit-identical schedule.
-    """
-    if name == "C":
-        return simulate_clairvoyant(instance, power, context=context).schedule
-    if name == "NC":
-        return simulate_nc_uniform(instance, power, context=context).schedule
-    if name == "NC_GENERAL":
-        return simulate_nc_general(
-            instance, power, context=context, max_step=max_step
-        ).schedule
-    raise InvalidInstanceError(f"unknown session algorithm {name!r}")
 
 
 class Session:
@@ -488,18 +462,17 @@ class Session:
             shadow.advance(job.release)
         return shadow
 
+    def _simulate(self, inst: Instance) -> Schedule:
+        """The session algorithm's schedule of ``inst`` (lock held)."""
+        spec, power = ALGORITHMS[self.algorithm], self.power
+        return spec.simulate(inst, power, context=self.context, max_step=self.max_step).schedule
+
     async def schedule(self) -> tuple[Schedule, int]:
         """The session algorithm's schedule over all arrivals so far."""
         self._check_open()
         async with self.lock:
             inst = self._instance()
-            sched = simulate_session_algorithm(
-                self.algorithm,
-                inst,
-                self.power,
-                context=self.context,
-                max_step=self.max_step,
-            )
+            sched = self._simulate(inst)
             return sched, len(inst)
 
     async def metrics(self) -> tuple[CostReport, dict[str, int], int]:
@@ -507,13 +480,7 @@ class Session:
         self._check_open()
         async with self.lock:
             inst = self._instance()
-            sched = simulate_session_algorithm(
-                self.algorithm,
-                inst,
-                self.power,
-                context=self.context,
-                max_step=self.max_step,
-            )
+            sched = self._simulate(inst)
             report = evaluate(sched, inst, self.power)
             return report, self.context.counters.as_dict(), len(inst)
 

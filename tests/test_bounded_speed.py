@@ -19,7 +19,6 @@ from repro.core.errors import InvalidInstanceError, InvalidPowerFunctionError
 from repro.core.shadow import SimulationContext
 from repro.core.tracing import MemoryRecorder
 from repro.extensions import CappedPowerLaw
-from repro.faults.injector import simulate_nc_par_with_failure
 from repro.parallel.nc_par import simulate_nc_par
 from repro.parallel.nonuniform_dispatch import simulate_nc_hdf_par
 from repro.workloads.random_instances import random_instance
@@ -250,9 +249,7 @@ class TestCapHonouredOrRefused:
         "simulate",
         [
             lambda inst, p: simulate_nc_par(inst, p, 2),
-            lambda inst, p: simulate_nc_par_with_failure(
-                inst, p, 2, dead_machine=0, fail_time=0.5
-            ),
+            lambda inst, p: simulate_nc_par(inst, p, 2, failure=(0, 0.5)),
             lambda inst, p: simulate_nc_hdf_par(inst, p, 2),
             lambda inst, p: NCGeneralPolicy(p),
             lambda inst, p: simulate_nc_general(inst, p),

@@ -1,10 +1,14 @@
 """Tier-1: deterministic fault plans and the injectors that realize them."""
 
 import math
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Instance, Job, PowerLaw
+from repro.analysis.trace_report import build_report
 from repro.core.errors import ConvergenceError, SimulationError
 from repro.core.shadow import SimulationContext
 from repro.core.tracing import MemoryRecorder
@@ -16,10 +20,12 @@ from repro.faults import (
     FaultyVolumeOracle,
     FlakyPowerFunction,
     generate_plan,
-    simulate_nc_par_with_failure,
 )
 from repro.parallel import simulate_nc_par
 from repro.workloads import random_instance
+
+from conftest import uniform_instances
+from failover_oracle import simulate_nc_par_with_failure
 
 ALPHA = 3.0
 
@@ -168,9 +174,7 @@ class TestMachineFailure:
         power = PowerLaw(ALPHA)
         inst = random_instance(10, seed=5, volume="uniform")
         ctx = _ctx(power)
-        run = simulate_nc_par_with_failure(
-            inst, power, 3, dead_machine=0, fail_time=0.4, context=ctx
-        )
+        run = simulate_nc_par(inst, power, 3, failure=(0, 0.4), context=ctx)
         report = run.report(validate=True)
         assert math.isfinite(report.energy) and report.energy > 0
         scheduled = {j for jobs in run.assignments.values() for j in jobs}
@@ -183,9 +187,7 @@ class TestMachineFailure:
         power = PowerLaw(ALPHA)
         inst = random_instance(8, seed=7, volume="uniform")
         ctx = _ctx(power)
-        simulate_nc_par_with_failure(
-            inst, power, 2, dead_machine=1, fail_time=0.3, context=ctx
-        )
+        simulate_nc_par(inst, power, 2, failure=(1, 0.3), context=ctx)
         kinds = {e.kind for e in ctx.recorder.events}
         assert "fault_injected" in kinds
         fault = ctx.recorder.events_of(kind="fault_injected")[0]
@@ -198,18 +200,14 @@ class TestMachineFailure:
         from repro.core.errors import InvalidInstanceError
 
         with pytest.raises(InvalidInstanceError):
-            simulate_nc_par_with_failure(
-                inst, power, 1, dead_machine=0, fail_time=0.1
-            )
+            simulate_nc_par(inst, power, 1, failure=(0, 0.1))
 
     def test_failure_at_t0_equals_one_fewer_machine(self):
         """Dead on arrival: the machine never runs anything, so the cluster
         behaves exactly like a (k-1)-machine run with indices shifted."""
         power = PowerLaw(ALPHA)
         inst = random_instance(12, seed=21, volume="uniform")
-        failed = simulate_nc_par_with_failure(
-            inst, power, 3, dead_machine=0, fail_time=0.0
-        )
+        failed = simulate_nc_par(inst, power, 3, failure=(0, 0.0))
         plain = simulate_nc_par(inst, power, 2)
         assert failed.assignments[0] == []
         for survivor in (1, 2):
@@ -226,9 +224,7 @@ class TestMachineFailure:
             seg.t1 for sched in plain.schedules.values() for seg in sched.segments
         )
         ctx = _ctx(power)
-        failed = simulate_nc_par_with_failure(
-            inst, power, 3, dead_machine=1, fail_time=horizon + 1.0, context=ctx
-        )
+        failed = simulate_nc_par(inst, power, 3, failure=(1, horizon + 1.0), context=ctx)
         assert failed.assignments == plain.assignments
         assert failed.report(validate=True) == plain.report(validate=True)
         assert ctx.recorder.events_of(kind="fault_injected") == []
@@ -249,11 +245,115 @@ class TestMachineFailure:
             ),
         )
         inj = FaultInjector(plan, ctx)
-        run = simulate_nc_par_with_failure(
-            inst, power, 3, dead_machine=0, fail_time=0.2, context=ctx, injector=inj
+        run = simulate_nc_par(
+            inst,
+            power,
+            3,
+            failure=(0, 0.2),
+            context=ctx,
+            on_failure=partial(inj.fire_external, "machine_failure"),
         )
         assert len(inj.fired) == 1
         assert len(inj.armed_specs("machine_failure")) == 1
         assert len(ctx.recorder.events_of(kind="fault_injected")) == 1
         scheduled = {j for jobs in run.assignments.values() for j in jobs}
         assert scheduled == {j.job_id for j in inst}
+
+    @staticmethod
+    def _mid_flight(inst, power, machines, dead):
+        """A failure time that kills the dead machine's second job mid-flight
+        (the midpoint of its plain-run segment), and that job's id."""
+        seg = simulate_nc_par(inst, power, machines).schedules[dead].segments[1]
+        return 0.5 * (seg.t0 + seg.t1), seg.job_id
+
+    def test_failover_trace_replays(self):
+        """Every job that lands emits release/kernel_eval/completion on its
+        machine; the killed attempt emits no kernel_eval; each machine's
+        kernel_eval stream is its schedule, field for field."""
+        power = PowerLaw(ALPHA)
+        inst = random_instance(10, seed=5, volume="uniform")
+        fail_time, killed = self._mid_flight(inst, power, 3, 0)
+        ctx = _ctx(power)
+        ctx.emit(
+            "run_meta",
+            0.0,
+            "test",
+            alpha=ALPHA,
+            instance=[[j.job_id, j.release, j.volume, j.density] for j in inst],
+        )
+        run = simulate_nc_par(inst, power, 3, failure=(0, fail_time), context=ctx)
+        rec = ctx.recorder
+        assert rec.events_of(kind="fault_injected")[0].payload["job"] == killed
+        assert rec.events_of(kind="recovery")[0].payload["job"] == killed
+        assert killed not in run.assignments[0]
+        for i, jobs in run.assignments.items():
+            comp = f"nc_par.m{i}"
+            for kind in ("release", "completion"):
+                assert [e.payload["job"] for e in rec.events_of(kind, comp)] == jobs
+            evals = [e.payload for e in rec.events_of("kernel_eval", comp)]
+            segments = run.schedules[i].segments if jobs else []
+            assert [
+                (p["profile"], p["t0"], p["t1"], p["job"], p["x0"], p["rho"], p["alpha"])
+                for p in evals
+            ] == [
+                ("growth", g.t0, g.t1, g.job_id, g.x0, g.rho, g.alpha) for g in segments
+            ]
+        report = build_report(iter(rec.events))
+        assert report.order_violations == []
+
+    def test_oracle_lie_reaches_failover(self):
+        """A corrupted reveal of the re-released job raises the same typed
+        error under the failover model as in plain NC-PAR (only the time of
+        the reveal differs)."""
+        power = PowerLaw(ALPHA)
+        inst = random_instance(10, seed=5, volume="uniform")
+        fail_time, killed = self._mid_flight(inst, power, 3, 0)
+        errors = []
+        for failure in (None, (0, fail_time)):
+            ctx = _ctx(power)
+            plan = FaultPlan(
+                0,
+                (
+                    FaultSpec(kind="machine_failure", machine=0, at_time=fail_time),
+                    FaultSpec(kind="oracle_lie", mode="nan", job_id=killed),
+                ),
+            )
+            inj = FaultInjector(plan, ctx)
+            inj.install()
+            with pytest.raises(SimulationError) as info:
+                simulate_nc_par(
+                    inst,
+                    power,
+                    3,
+                    context=ctx,
+                    failure=failure,
+                    on_failure=partial(inj.fire_external, "machine_failure"),
+                )
+            errors.append(info.value)
+        plain, failover = errors
+        assert type(failover) is type(plain)
+        assert failover.context["job"] == plain.context["job"] == killed
+        assert math.isnan(failover.context["value"])
+        # the failover run reveals the job after its re-release
+        assert failover.context["time"] > fail_time
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        uniform_instances(max_jobs=8),
+        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=0, max_value=3),
+        st.floats(min_value=0.0, max_value=12.0, allow_nan=False),
+    )
+    def test_matches_failover_oracle(self, inst, machines, dead, fail_time):
+        """Differential against the retired failover twin: identical
+        assignments and segments, kill or no kill."""
+        power = PowerLaw(ALPHA)
+        dead %= machines
+        merged = simulate_nc_par(inst, power, machines, failure=(dead, fail_time))
+        oracle = simulate_nc_par_with_failure(
+            inst, power, machines, dead_machine=dead, fail_time=fail_time
+        )
+        assert merged.assignments == oracle.assignments
+        assert merged.schedules.keys() == oracle.schedules.keys()
+        for i, schedule in merged.schedules.items():
+            assert schedule.segments == oracle.schedules[i].segments

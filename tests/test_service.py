@@ -32,13 +32,13 @@ import pytest
 pytest.importorskip("pydantic")
 
 from repro import io
+from repro.algorithms import ALGORITHMS
 from repro.core.job import Instance, Job
 from repro.core.power import PowerLaw
 from repro.core.shadow import SimulationContext
 from repro.core.tracing import iter_trace
 from repro.service import TestClient, create_app, serve
 from repro.service.models import ScheduleModel
-from repro.service.sessions import simulate_session_algorithm
 from repro.workloads import random_instance
 
 ALPHA = 3.0
@@ -103,6 +103,10 @@ def test_validation_and_routing_errors(client):
     assert client.request("PUT", "/sessions").status_code == 405
     assert client.post("/sessions", json_body={"alpha": 0.5}).status_code == 422
     assert client.post("/sessions", json_body={"surprise": 1}).status_code == 422
+    # The session Literal is derived from the registry; it must not widen.
+    for algorithm in ("NC_PAR", "WAT", "NC_INT", "CONSTANT_SPEED"):
+        body = {"algorithm": algorithm}
+        assert client.post("/sessions", json_body=body).status_code == 422
     resp = client.request("POST", "/sessions", json_body=None)
     assert resp.status_code == 201  # empty body is a default session
     sid = resp.json()["session_id"]
@@ -224,8 +228,10 @@ def test_api_schedule_bit_identical_to_direct_drive(client, algorithm, density):
     assert body["n_jobs"] == len(inst)
     via_api = ScheduleModel.model_validate(body["schedule"]).to_schedule()
 
-    direct = simulate_session_algorithm(
-        algorithm, inst, PowerLaw(ALPHA), context=SimulationContext(PowerLaw(ALPHA))
+    direct = (
+        ALGORITHMS[algorithm]
+        .simulate(inst, PowerLaw(ALPHA), context=SimulationContext(PowerLaw(ALPHA)))
+        .schedule
     )
     assert io.schedule_to_dict(via_api) == io.schedule_to_dict(direct)
 

@@ -63,6 +63,7 @@ from repro.service.journal import (
     read_journal,
 )
 from repro import io
+from repro.algorithms import simulate_nc_uniform
 from repro.core.metrics import evaluate
 from repro.service.models import ReportModel, ScheduleModel, SessionCreateRequest
 from repro.service.sessions import (
@@ -73,7 +74,6 @@ from repro.service.sessions import (
     SessionManager,
     StoreFull,
     TokenBucket,
-    simulate_session_algorithm,
 )
 from repro.workloads import random_instance
 
@@ -355,7 +355,7 @@ def test_restore_journal_with_legacy_backend_field(tmp_path):
         metrics = client.get("/sessions/s/metrics").json()["report"]
 
     power = PowerLaw(ALPHA)
-    direct = simulate_session_algorithm("NC", inst, power, context=SimulationContext(power))
+    direct = simulate_nc_uniform(inst, power, context=SimulationContext(power)).schedule
     restored = ScheduleModel.model_validate(schedule).to_schedule()
     assert io.schedule_to_dict(restored) == io.schedule_to_dict(direct)
     expected = ReportModel.from_report(evaluate(direct, inst, power))

@@ -17,7 +17,7 @@ import pathlib
 
 import pytest
 
-from repro.algorithms import simulate_clairvoyant, simulate_nc_uniform
+from repro.algorithms import ALGORITHMS, simulate_clairvoyant, simulate_nc_uniform
 from repro.algorithms.nc_general import simulate_nc_general
 from repro.core.errors import RecoveryExhaustedError
 from repro.core.job import Instance, Job
@@ -30,6 +30,8 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.parallel.nc_par import simulate_nc_par
 from repro.runtime import RecoveryPolicy, Supervisor
 from repro.workloads import random_instance
+
+from capped_oracle import max_observed_speed
 
 CORPUS_PATH = pathlib.Path(__file__).parent / "data" / "golden_corpus.json"
 _CORPUS = json.loads(CORPUS_PATH.read_text())
@@ -91,8 +93,8 @@ class TestDifferential:
         inst = random_instance(8, seed=23, volume="uniform")
         power = CappedPowerLaw(3.0, 1.5)
         for algorithm, simulate in (
-            ("C_CAPPED", simulate_clairvoyant),
-            ("NC_CAPPED", simulate_nc_uniform),
+            ("C", simulate_clairvoyant),
+            ("NC", simulate_nc_uniform),
         ):
             base_ctx = SimulationContext(power)
             base = simulate(inst, power, context=base_ctx)
@@ -239,12 +241,13 @@ class TestRecovery:
 
     @pytest.mark.parametrize("algorithm", ["C", "NC", "NC_GENERAL", "NC_PAR"])
     def test_capped_power_needs_a_capped_family(self, algorithm):
+        """C and NC honour the cap (the registry marks them ``capped``);
+        every other family refuses it before the first attempt."""
         sup = Supervisor(CappedPowerLaw(3.0, 1.1))
-        with pytest.raises(TypeError, match="s_max=1.1"):
-            sup.run(algorithm, random_instance(4, seed=0, volume="uniform"))
-
-    @pytest.mark.parametrize("algorithm", ["C_CAPPED", "NC_CAPPED"])
-    def test_capped_family_needs_a_capped_power(self, algorithm):
-        sup = Supervisor(PowerLaw(3.0))
-        with pytest.raises(TypeError, match="CappedPowerLaw"):
-            sup.run(algorithm, random_instance(4, seed=0, volume="uniform"))
+        inst = random_instance(4, seed=0, volume="uniform")
+        if ALGORITHMS[algorithm].capped:
+            result = sup.run(algorithm, inst)
+            assert max_observed_speed(result.schedule) <= 1.1 * (1 + 1e-12)
+        else:
+            with pytest.raises(TypeError, match="s_max=1.1"):
+                sup.run(algorithm, inst)
