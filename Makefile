@@ -7,7 +7,7 @@
 PYTEST := PYTHONPATH=src python -m pytest
 PY := PYTHONPATH=src python
 
-.PHONY: install install-dev install-service test bench bench-smoke bench-scale bench-trace-scale bench-service bench-service-recovery bench-check lint typecheck coverage serve check ci examples reproduce trace chaos chaos-service clean
+.PHONY: install install-dev install-service test bench bench-smoke bench-deterministic bench-scale bench-trace-scale bench-service bench-service-recovery bench-check lint typecheck coverage serve check ci examples reproduce trace chaos chaos-service clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -32,6 +32,13 @@ bench:
 # its bounds once, in its module's GATES, and fails the run on a breach.
 bench-smoke:
 	$(PYTEST) benchmarks/bench_general_density.py benchmarks/bench_ablation_eta_beta.py benchmarks/bench_tracing_overhead.py benchmarks/bench_supervisor_overhead.py benchmarks/bench_shard_scale.py --benchmark-only
+
+# The parallel-machine benches (§6/§7 dispatch, global queue, lower-bound
+# adversary) are deterministic: regenerate their tables and fail if any byte
+# differs from the committed ones.
+bench-deterministic:
+	$(PYTEST) benchmarks/bench_open_problem.py benchmarks/bench_parallel.py benchmarks/bench_lower_bound.py --benchmark-only
+	git diff --exit-code benchmarks/out/open_problem.txt benchmarks/out/parallel_machines.txt benchmarks/out/lower_bound.txt
 
 # The shadow-loop n-scaling curve (writes benchmarks/out/BENCH_scale.json);
 # the shipped loop's speedup over the tests/shadow_oracle.py reference is
@@ -86,7 +93,7 @@ serve:
 check: test bench-smoke
 
 # What CI runs, locally: tier-1 tests, bench smoke, regression diff, lint, types.
-ci: test bench-smoke bench-check lint typecheck
+ci: test bench-smoke bench-deterministic bench-check lint typecheck
 
 examples:
 	$(PY) examples/quickstart.py

@@ -39,11 +39,9 @@ import time
 import tracemalloc
 from typing import Iterator
 
-from repro.algorithms.clairvoyant import simulate_clairvoyant
-from repro.algorithms.nc_uniform import simulate_nc_uniform
 from repro.analysis import format_table
 from repro.analysis.streaming import IncrementalScheduleReplayer
-from repro.analysis.trace_report import build_report
+from repro.analysis.trace_report import build_report, trace_lemma_pair
 from repro.core.job import Instance, Job
 from repro.core.power import PowerLaw
 from repro.core.shadow import SimulationContext
@@ -78,16 +76,7 @@ def _base_attempt(jobs: int = JOBS) -> tuple[TraceEvent, list[TraceEvent]]:
     inst = random_instance(jobs, seed=SEED, volume="exponential", density="unit")
     power = PowerLaw(ALPHA)
     rec = MemoryRecorder()
-    context = SimulationContext(power, recorder=rec)
-    context.emit(
-        "run_meta",
-        0.0,
-        "harness",
-        alpha=ALPHA,
-        instance=[[j.job_id, j.release, j.volume, j.density] for j in inst],
-    )
-    simulate_clairvoyant(inst, power, context=context)
-    simulate_nc_uniform(inst, power, context=context)
+    trace_lemma_pair(inst, power, SimulationContext(power, recorder=rec), "harness")
     events = list(rec)
     return events[0], events[1:]
 

@@ -51,7 +51,30 @@ def simulate_active_count(instance: Instance, power: PowerFunction) -> Schedule:
 
     Between consecutive events (release or completion) the active count is
     constant, so the speed ``P^{-1}(n)`` is too; each event re-evaluates it.
+    This is round-robin with a quantum that never expires.
     """
+    return _active_count_loop(instance, power, math.inf)
+
+
+def simulate_round_robin(
+    instance: Instance, power: PowerFunction, quantum: float = 0.05
+) -> Schedule:
+    """Round-robin time sharing with the power-equals-active-count speed rule.
+
+    The head of the active queue runs for at most ``quantum`` time, then
+    rotates to the back; releases and completions also end a slice.  With the
+    ``P(s) = n(t)`` rule this discretises the processor-sharing algorithm of
+    Chan et al. [11] for unit-weight jobs (exact in the quantum -> 0 limit).
+    """
+    if quantum <= 0 or not math.isfinite(quantum):
+        raise InvalidInstanceError(f"quantum must be finite > 0, got {quantum}")
+    return _active_count_loop(instance, power, quantum)
+
+
+def _active_count_loop(instance: Instance, power: PowerFunction, quantum: float) -> Schedule:
+    """The head of the FIFO active queue runs at ``P^{-1}(n)`` until it
+    completes, a job is released or ``quantum`` expires (then it rotates to
+    the back)."""
     releases = list(instance.jobs)
     next_rel = 0
     remaining: dict[int, float] = {}
@@ -78,57 +101,9 @@ def simulate_active_count(instance: Instance, power: PowerFunction) -> Schedule:
             raise InvalidInstanceError("power function gives zero speed for positive load")
         t_complete = t + remaining[job_id] / s
         t_next_rel = releases[next_rel].release if next_rel < len(releases) else math.inf
-        t_stop = min(t_complete, t_next_rel)
+        t_stop = min(t_complete, t_next_rel, t + quantum)
         builder.append(ConstantSegment(t, t_stop, job_id, s))
         remaining[job_id] -= s * (t_stop - t)
-        if remaining[job_id] <= _TIE_TOL * max(1.0, instance[job_id].volume):
-            del remaining[job_id]
-            order.pop(0)
-        t = t_stop
-        admit(t)
-    return builder.build()
-
-
-def simulate_round_robin(
-    instance: Instance, power: PowerFunction, quantum: float = 0.05
-) -> Schedule:
-    """Round-robin time sharing with the power-equals-active-count speed rule.
-
-    The head of the active queue runs for at most ``quantum`` time, then
-    rotates to the back; releases and completions also end a slice.  With the
-    ``P(s) = n(t)`` rule this discretises the processor-sharing algorithm of
-    Chan et al. [11] for unit-weight jobs (exact in the quantum -> 0 limit).
-    """
-    if quantum <= 0 or not math.isfinite(quantum):
-        raise InvalidInstanceError(f"quantum must be finite > 0, got {quantum}")
-    releases = list(instance.jobs)
-    next_rel = 0
-    remaining: dict[int, float] = {}
-    order: list[int] = []
-    builder = ScheduleBuilder()
-    t = 0.0
-
-    def admit(now: float) -> None:
-        nonlocal next_rel
-        while next_rel < len(releases) and releases[next_rel].release <= now + _TIE_TOL:
-            remaining[releases[next_rel].job_id] = releases[next_rel].volume
-            order.append(releases[next_rel].job_id)
-            next_rel += 1
-
-    admit(t)
-    while order or next_rel < len(releases):
-        if not order:
-            t = releases[next_rel].release
-            admit(t)
-            continue
-        job_id = order[0]
-        s = power.speed(float(len(order)))
-        t_complete = t + remaining[job_id] / s
-        t_next_rel = releases[next_rel].release if next_rel < len(releases) else math.inf
-        t_stop = min(t_complete, t_next_rel, t + quantum)
-        if t_stop > t:
-            builder.append(ConstantSegment(t, t_stop, job_id, s))
-            remaining[job_id] -= s * (t_stop - t)
         if remaining[job_id] <= _TIE_TOL * max(1.0, instance[job_id].volume):
             del remaining[job_id]
             order.pop(0)

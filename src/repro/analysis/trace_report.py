@@ -31,8 +31,13 @@ wall-time/event breakdown; :func:`format_report` renders it for the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Any, Iterable
 
+from ..algorithms.clairvoyant import simulate_clairvoyant
+from ..algorithms.nc_uniform import simulate_nc_uniform
+from ..core.job import Instance
+from ..core.power import PowerLaw
+from ..core.shadow import SimulationContext
 from ..core.tracing import TraceEvent
 
 __all__ = [
@@ -41,6 +46,7 @@ __all__ = [
     "TraceReport",
     "build_report",
     "format_report",
+    "trace_lemma_pair",
 ]
 
 #: Acceptance tolerance for the replayed Lemma 3 / Lemma 4 equalities.
@@ -50,6 +56,34 @@ REL_TOL = 1e-9
 #: to the invariant checks (single-machine C vs NC; the capped variants obey
 #: the same energy equality, see extensions.bounded_speed).
 _PAIRS = (("C", "NC"), ("C_capped", "NC_capped"))
+
+
+def trace_lemma_pair(
+    instance: Instance,
+    power: PowerLaw,
+    context: SimulationContext,
+    component: str,
+    **extra: Any,
+) -> None:
+    """Trace what :func:`build_report` replays onto ``context``.
+
+    First a ``run_meta`` header on ``component`` carrying ``alpha``, the
+    instance rows ``[id, release, volume, density]`` and ``extra``; then
+    Algorithm C and Algorithm NC run traced on the instance — the Lemma 3/4
+    pair.  NC needs uniform densities, so any other instance gets the
+    header alone.
+    """
+    context.emit(
+        "run_meta",
+        0.0,
+        component,
+        alpha=power.alpha,
+        instance=[[j.job_id, j.release, j.volume, j.density] for j in instance],
+        **extra,
+    )
+    if instance.is_uniform_density():
+        simulate_clairvoyant(instance, power, context=context)
+        simulate_nc_uniform(instance, power, context=context)
 
 
 @dataclass(frozen=True)

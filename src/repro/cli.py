@@ -48,6 +48,7 @@ from .analysis import (
 )
 from .algorithms import DEFAULT_MAX_STEP, algorithm_names
 from .core.job import Instance, Job
+from .parallel.shard import FAMILIES as SHARD_FAMILIES
 from .workloads import random_instance
 
 __all__ = ["main", "build_parser"]
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-identity with the serial path",
     )
     p_sh.add_argument("--machines", type=int, default=4)
-    p_sh.add_argument("--algorithm", default="nc_par", choices=["nc_par", "c_par"])
+    p_sh.add_argument("--algorithm", default="nc_par", choices=list(SHARD_FAMILIES))
     p_sh.add_argument("--workers", type=int, default=2, help="pool worker processes")
     p_sh.add_argument("--n-shards", type=int, default=None, help="shard count (default: balanced)")
     p_sh.add_argument("--checkpoint-dir", default=None, help="durable shard checkpoint directory")
@@ -530,26 +531,15 @@ def _cmd_shard(args: argparse.Namespace) -> tuple[str, int]:
     context = None
     recorder = None
     if args.trace:
+        from .analysis.trace_report import trace_lemma_pair
         from .core.shadow import SimulationContext
         from .core.tracing import JsonlRecorder
 
         recorder = JsonlRecorder(args.trace)
         context = SimulationContext(power, recorder=recorder)
-        context.emit(
-            "run_meta",
-            0.0,
-            "harness",
-            alpha=args.alpha,
-            instance=[[j.job_id, j.release, j.volume, j.density] for j in inst],
-            algorithms=[args.algorithm],
-        )
-        if inst.is_uniform_density():
-            # A traced single-machine pair gives the replayer a Lemma 3/4
-            # target; the shard lifecycle events ride along in the same file.
-            from .algorithms import simulate_clairvoyant, simulate_nc_uniform
-
-            simulate_clairvoyant(inst, power, context=context)
-            simulate_nc_uniform(inst, power, context=context)
+        # A traced single-machine pair gives the replayer a Lemma 3/4
+        # target; the shard lifecycle events ride along in the same file.
+        trace_lemma_pair(inst, power, context, "harness", algorithms=[args.algorithm])
     try:
         result = run_sharded(
             inst,
@@ -657,8 +647,7 @@ def _trace_source(path: str):
 def _cmd_trace(args: argparse.Namespace) -> str | tuple[str, int]:
     import json
 
-    from .algorithms import simulate_clairvoyant, simulate_nc_uniform
-    from .analysis.trace_report import build_report, format_report
+    from .analysis.trace_report import build_report, format_report, trace_lemma_pair
     from .core.errors import InvalidInstanceError
     from .core.shadow import SimulationContext
     from .core.tracing import JsonlRecorder, follow_jsonl, iter_trace
@@ -706,16 +695,7 @@ def _cmd_trace(args: argparse.Namespace) -> str | tuple[str, int]:
 
     with JsonlRecorder(args.out, sink=args.sink) as recorder:
         context = SimulationContext(power, recorder=recorder)
-        context.emit(
-            "run_meta",
-            0.0,
-            "harness",
-            alpha=alpha,
-            instance=[[j.job_id, j.release, j.volume, j.density] for j in inst],
-            algorithms=["C", "NC"],
-        )
-        simulate_clairvoyant(inst, power, context=context)
-        simulate_nc_uniform(inst, power, context=context)
+        trace_lemma_pair(inst, power, context, "harness", algorithms=["C", "NC"])
 
     # Read back through the sink's own paths (a rotate sink writes numbered
     # segments, not args.out itself) in one streaming pass, keeping only the

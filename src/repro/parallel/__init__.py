@@ -1,10 +1,10 @@
-"""Identical parallel machines (§6): the clairvoyant greedy-dispatch baseline
-C-PAR, the non-clairvoyant global-FIFO algorithm NC-PAR, volume-oblivious
+"""Identical parallel machines (§6, §7): greedy immediate dispatch (C-PAR,
+C-HDF-PAR), one global queue (NC-PAR, NC-HDF-PAR), volume-oblivious
 immediate-dispatch rules, the Ω(k^(1-1/α)) lower-bound adversary, and the
 fault-tolerant sharded execution layer (per-machine independence, Lemma 20,
 made executable on a supervised worker pool)."""
 
-from .c_par import remaining_weight_on_machine, simulate_c_par
+from .c_par import simulate_c_hdf_par, simulate_c_par
 from .cluster import ClusterRun
 from .dispatch import (
     DISPATCH_RULES,
@@ -14,8 +14,7 @@ from .dispatch import (
     simulate_immediate_dispatch,
 )
 from .lower_bound import AdversaryOutcome, adversarial_instance, adversarial_ratio
-from .nc_par import simulate_nc_par
-from .nonuniform_dispatch import simulate_c_hdf_par, simulate_nc_hdf_par
+from .nc_par import simulate_nc_hdf_par, simulate_nc_par
 from .shard import (
     Shard,
     ShardCheckpointStore,
@@ -36,7 +35,6 @@ __all__ = [
     "run_sharded",
     "shard_payload",
     "simulate_c_par",
-    "remaining_weight_on_machine",
     "simulate_nc_par",
     "DISPATCH_RULES",
     "round_robin",

@@ -1,22 +1,27 @@
-"""Identical parallel machines: shared result container and evaluation.
+"""Identical parallel machines: shared result container, runner and evaluation.
 
 A cluster run is, per machine, an ordinary single-machine schedule over the
 jobs assigned to it (the paper's model forbids migration, so each job lives
-entirely on one machine).  Costs are evaluated per machine with the exact
-single-machine machinery and merged.
+entirely on one machine).  :func:`run_machines` turns an assignment into a
+cluster run by running Algorithm C or NC on each machine's jobs; costs are
+evaluated per machine with the exact single-machine machinery and merged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from typing import Literal
+
+from ..algorithms.registry import algorithm_spec
 from ..core.errors import ScheduleError
 from ..core.job import Instance
 from ..core.metrics import CostReport, evaluate
-from ..core.power import PowerFunction
+from ..core.power import PowerFunction, PowerLaw
 from ..core.schedule import Schedule
+from ..core.shadow import SimulationContext
 
-__all__ = ["ClusterRun"]
+__all__ = ["ClusterRun", "run_machines"]
 
 
 @dataclass(frozen=True)
@@ -67,3 +72,38 @@ class ClusterRun:
         if merged is None:
             raise ScheduleError("cluster run assigned no jobs")
         return merged
+
+
+def run_machines(
+    instance: Instance,
+    power: PowerLaw,
+    assignments: dict[int, list[int]],
+    per_machine: Literal["C", "NC"] = "C",
+    *,
+    context: SimulationContext | None = None,
+    component: str | None = None,
+) -> ClusterRun:
+    """Run Algorithm C (or NC) on each machine's assigned jobs.
+
+    ``assignments`` holds every machine index, empty machines included, in
+    index order.  With ``component`` given, machine ``i`` traces under
+    ``{component}.m{i}.{per_machine}``; otherwise under the simulator's own
+    component.
+    """
+    spec = algorithm_spec(per_machine, ("C", "NC"))
+    schedules = {}
+    for machine, jobs in assignments.items():
+        if not jobs:
+            continue
+        sub = instance.subset(jobs)
+        assert sub is not None
+        name = None if component is None else f"{component}.m{machine}.{per_machine}"
+        run = spec.simulate(sub, power, context=context, component=name)
+        schedules[machine] = run.schedule
+    return ClusterRun(
+        instance=instance,
+        power=power,
+        machines=len(assignments),
+        assignments=assignments,
+        schedules=schedules,
+    )

@@ -18,7 +18,7 @@ from ..core.job import Instance
 from ..core.power import PowerLaw
 from ..core.shadow import SimulationContext
 from ..algorithms.registry import algorithm_spec
-from .cluster import ClusterRun
+from .cluster import ClusterRun, run_machines
 
 __all__ = [
     "DISPATCH_RULES",
@@ -97,7 +97,7 @@ def simulate_immediate_dispatch(
     """
     if machines < 1:
         raise InvalidInstanceError(f"machines must be >= 1, got {machines}")
-    spec = algorithm_spec(per_machine, ("C", "NC"))
+    algorithm_spec(per_machine, ("C", "NC"))  # an unknown name fails before dispatch
     excluded = frozenset(exclude_machines) if exclude_machines else frozenset()
     survivors = [i for i in range(machines) if i not in excluded]
     if not survivors:
@@ -120,20 +120,6 @@ def simulate_immediate_dispatch(
             rec.emit(
                 "release", instance[jid].release, "dispatch", job=jid, machine=m
             )
-
-    schedules = {}
-    for i in range(machines):
-        if not assignments[i]:
-            continue
-        sub = instance.subset(assignments[i])
-        assert sub is not None
-        component = f"dispatch.m{i}.{per_machine}"
-        run = spec.simulate(sub, power, context=context, component=component)
-        schedules[i] = run.schedule
-    return ClusterRun(
-        instance=instance,
-        power=power,
-        machines=machines,
-        assignments=assignments,
-        schedules=schedules,
+    return run_machines(
+        instance, power, assignments, per_machine, context=context, component="dispatch"
     )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from ..core.job import Instance, Job
 from ..core.power import PowerLaw
-from .cluster import ClusterRun
+from .cluster import run_machines
 from .dispatch import DISPATCH_RULES, DispatchRule, simulate_immediate_dispatch
 
 __all__ = ["AdversaryOutcome", "adversarial_instance", "adversarial_ratio"]
@@ -94,20 +94,7 @@ def adversarial_ratio(
         bench_assignment[i % machines].append(jid)
     for i, jid in enumerate(light_ids):
         bench_assignment[i % machines].append(jid)
-    from ..algorithms.clairvoyant import simulate_clairvoyant
-
-    schedules = {}
-    for i in range(machines):
-        sub = instance.subset(bench_assignment[i])
-        if sub is not None:
-            schedules[i] = simulate_clairvoyant(sub, power).schedule
-    bench = ClusterRun(
-        instance=instance,
-        power=power,
-        machines=machines,
-        assignments=bench_assignment,
-        schedules=schedules,
-    )
+    bench = run_machines(instance, power, bench_assignment)
     bench_report = bench.report()
 
     if objective == "fractional":

@@ -16,8 +16,9 @@ plus exact cost evaluation with validation — shards cleanly:
 3. each shard is computed by :func:`compute_shard` — a pure function of the
    shard payload, run either in a supervised
    :class:`~repro.runtime.pool.WorkerPool` worker or serially — which
-   *re-derives* every per-machine schedule from the job list (NC-PAR's
-   recurrence, or C-PAR's per-machine Algorithm C) and evaluates it exactly;
+   *re-derives* every per-machine schedule by running the family
+   (:data:`FAMILIES`) on that machine's job list alone, and evaluates it
+   exactly;
 4. per-machine reports are merged **in machine-index order**, the same
    float-addition order :meth:`ClusterRun.report` uses — so the sharded
    report is bit-identical to the serial one, not merely close.
@@ -44,10 +45,9 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
-from ..algorithms.clairvoyant import simulate_clairvoyant
-from ..core.errors import InvalidInstanceError, SimulationError
+from ..core.errors import InvalidInstanceError
 from ..core.job import Instance, Job
 from ..core.metrics import CostReport, evaluate
 from ..core.power import PowerLaw
@@ -72,7 +72,16 @@ __all__ = [
     "verify_shard_trace",
 ]
 
-ALGORITHMS = ("nc_par", "c_par")
+Family = Callable[[Instance, PowerLaw, int, SimulationContext | None], ClusterRun]
+
+#: Shard algorithm name -> the family's serial run ``(instance, power,
+#: machines, context)``.  The coordinator runs it on every machine; a worker
+#: re-derives one machine's schedule by running it on that machine's jobs
+#: alone (per-machine independence, Lemma 20).
+FAMILIES: Mapping[str, Family] = {
+    "nc_par": lambda inst, power, k, context: simulate_nc_par(inst, power, k, context=context),
+    "c_par": lambda inst, power, k, context: simulate_c_par(inst, power, k),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,8 +154,7 @@ def shard_payload(
     actually loses work and the recovery path (re-dispatch) is exercised
     rather than raced past.
     """
-    if algorithm not in ALGORITHMS:
-        raise InvalidInstanceError(f"unknown shard algorithm {algorithm!r}")
+    _family(algorithm)
     if getattr(cluster.power, "alpha", None) is None:
         raise InvalidInstanceError("sharded execution requires a PowerLaw power model")
     # Workers rebuild the power from alpha alone, so a cap would be lost.
@@ -168,6 +176,12 @@ def shard_payload(
     if hold_s > 0.0:
         payload["hold_s"] = float(hold_s)
     return payload
+
+
+def _family(algorithm: str) -> Family:
+    if algorithm not in FAMILIES:
+        raise InvalidInstanceError(f"unknown shard algorithm {algorithm!r}")
+    return FAMILIES[algorithm]
 
 
 def _report_payload(report: CostReport) -> dict[str, Any]:
@@ -200,7 +214,7 @@ def compute_shard(payload: dict[str, Any]) -> dict[str, Any]:
     if hold > 0.0:
         time.sleep(hold)
     alpha = float(payload["alpha"])
-    algorithm = payload["algorithm"]
+    family = _family(payload["algorithm"])
     validate = bool(payload.get("validate", True))
     power = PowerLaw(alpha)
     reports: dict[str, dict[str, Any]] = {}
@@ -210,12 +224,7 @@ def compute_shard(payload: dict[str, Any]) -> dict[str, Any]:
             for j, r, v, d in raw_jobs
         ]
         sub = Instance(jobs)
-        if algorithm == "nc_par":
-            schedule = simulate_nc_par(sub, power, 1).schedules[0]
-        elif algorithm == "c_par":
-            schedule = simulate_clairvoyant(sub, power).schedule
-        else:
-            raise SimulationError(f"unknown shard algorithm {algorithm!r}")
+        schedule = family(sub, power, 1, None).schedules[0]
         reports[key] = _report_payload(evaluate(schedule, sub, power, validate=validate))
     return {"shard_id": payload["shard_id"], "reports": reports}
 
@@ -349,14 +358,10 @@ def run_sharded(
     ``cluster.report()`` — the differential test in ``tests/test_shard.py``
     holds this exactly, not to a tolerance.
     """
-    if algorithm not in ALGORITHMS:
-        raise InvalidInstanceError(f"unknown shard algorithm {algorithm!r}")
+    family = _family(algorithm)
     if context is None:
         context = SimulationContext(power)
-    if algorithm == "nc_par":
-        cluster = simulate_nc_par(instance, power, machines, context=context)
-    else:
-        cluster = simulate_c_par(instance, power, machines)
+    cluster = family(instance, power, machines, context)
 
     shards = plan_shards(
         cluster.assignments,

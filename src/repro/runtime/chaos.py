@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, ClassVar, Iterable, Iterator, Mapping, Protocol, Sequence
 
-from ..analysis.trace_report import REL_TOL, TraceReport, build_report
+from ..analysis.trace_report import REL_TOL, TraceReport, build_report, trace_lemma_pair
 from ..core.errors import ReproError, ScheduleError
 from ..core.job import Instance
 from ..core.shadow import SimulationContext
@@ -57,7 +57,6 @@ from ..core.tracing import MemoryRecorder, TraceEvent, TraceSink, iter_trace, ma
 from ..extensions.bounded_speed import CappedPowerLaw
 from ..algorithms.clairvoyant import simulate_clairvoyant
 from ..algorithms.registry import ALGORITHMS, DEFAULT_MAX_STEP
-from ..algorithms.nc_uniform import simulate_nc_uniform
 from ..core.power import PowerLaw
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan, FaultSpec, generate_plan
@@ -672,7 +671,6 @@ class ShardScenario:
         instance = random_instance(self.jobs, seed=seed, volume="uniform")
         plan = self._fault_plan(run_id, seed)
         context = SimulationContext(power, recorder=recorder)
-        context.emit("run_meta", 0.0, "chaos", **_meta_payload(instance, self.alpha))
         injector = FaultInjector(plan, context)
         checks: dict[str, bool | None] = dict.fromkeys(self.checks)
         counts = dict.fromkeys(self.counts, 0)
@@ -682,8 +680,7 @@ class ShardScenario:
         try:
             # The traced single-machine pair on the same instance: the
             # material the Lemma 3/4 replay audits.
-            simulate_clairvoyant(instance, power, context=context)
-            simulate_nc_uniform(instance, power, context=context)
+            trace_lemma_pair(instance, power, context, "chaos")
 
             # Serial references, computed without faults or tracing.
             serial_report = simulate_nc_par(instance, power, self.machines).report()

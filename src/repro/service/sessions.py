@@ -48,8 +48,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from ..algorithms import ALGORITHMS, simulate_clairvoyant, simulate_nc_uniform
-from ..analysis.trace_report import TraceReport, build_report
+from ..algorithms import ALGORITHMS
+from ..analysis.trace_report import TraceReport, build_report, trace_lemma_pair
 from ..core.errors import InvalidInstanceError, SimulationError
 from ..core.job import Instance, Job
 from ..core.metrics import CostReport, evaluate
@@ -499,17 +499,10 @@ class Session:
                 )
             rec = MemoryRecorder()
             context = SimulationContext(self.power, recorder=rec)
-            context.emit(
-                "run_meta",
-                0.0,
-                "service",
-                alpha=self.power.alpha,
-                session=self.session_id,
-                instance=[[j.job_id, j.release, j.volume, j.density] for j in inst],
-                algorithms=["C", "NC"],
+            trace_lemma_pair(
+                inst, self.power, context, "service",
+                session=self.session_id, algorithms=["C", "NC"],
             )
-            simulate_clairvoyant(inst, self.power, context=context)
-            simulate_nc_uniform(inst, self.power, context=context)
             return build_report(iter(rec))
 
 

@@ -151,3 +151,28 @@ class TestRoundRobin:
         # quanta must cluster tightly around the processor-sharing limit.
         spread = max(costs) - min(costs)
         assert spread < 0.02 * (sum(costs) / len(costs))
+
+    @given(uniform_instances(max_jobs=6, density=None))
+    @settings(max_examples=30, deadline=None)
+    def test_active_count_is_a_quantum_that_never_expires(self, inst):
+        """Active-count FIFO and round-robin share one loop: a quantum longer
+        than any run reproduces active-count segment for segment."""
+        from repro.algorithms.baselines import simulate_round_robin
+
+        power = PowerLaw(3.0)
+        rr = simulate_round_robin(inst, power, quantum=1e300)
+        assert rr.segments == simulate_active_count(inst, power).segments
+
+    @pytest.mark.parametrize("quantum", [None, 0.1])
+    def test_zero_speed_is_an_invalid_instance(self, three_jobs, quantum):
+        from repro.algorithms.baselines import simulate_round_robin
+
+        class Stalled:
+            def speed(self, power: float) -> float:
+                return 0.0
+
+        with pytest.raises(InvalidInstanceError, match="zero speed"):
+            if quantum is None:
+                simulate_active_count(three_jobs, Stalled())
+            else:
+                simulate_round_robin(three_jobs, Stalled(), quantum=quantum)

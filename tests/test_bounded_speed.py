@@ -20,7 +20,7 @@ from repro.core.shadow import SimulationContext
 from repro.core.tracing import MemoryRecorder
 from repro.extensions import CappedPowerLaw
 from repro.parallel.nc_par import simulate_nc_par
-from repro.parallel.nonuniform_dispatch import simulate_nc_hdf_par
+from repro.parallel.nc_par import simulate_nc_hdf_par
 from repro.workloads.random_instances import random_instance
 
 from capped_oracle import (

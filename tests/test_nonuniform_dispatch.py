@@ -37,6 +37,14 @@ class TestNCHdfPar:
         run = simulate_nc_hdf_par(inst, cube, 1)
         assert run.assignments[0].index(2) < run.assignments[0].index(1)
 
+    def test_decides_only_on_released_jobs(self, cube):
+        """At time 0 only job 0 is released, so it takes the machine even
+        though a higher-class job arrives 5e-16 later (decision times are
+        compared exactly, with no look-ahead slack)."""
+        inst = Instance([Job(0, 0.0, 1.0, 1.0), Job(1, 5e-16, 1.0, 30.0)])
+        run = simulate_nc_hdf_par(inst, cube, 1)
+        assert run.assignments[0] == [0, 1]
+
     def test_idle_machine_taken_immediately(self, cube):
         inst = Instance([Job(0, 0.0, 1.0, 1.0), Job(1, 0.05, 1.0, 1.0)])
         run = simulate_nc_hdf_par(inst, cube, 2)

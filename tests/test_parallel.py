@@ -14,7 +14,6 @@ from repro.parallel import (
     adversarial_instance,
     adversarial_ratio,
     least_count,
-    remaining_weight_on_machine,
     round_robin,
     simulate_c_par,
     simulate_immediate_dispatch,
@@ -22,6 +21,7 @@ from repro.parallel import (
 )
 
 from conftest import uniform_instances
+from parallel_oracle import remaining_weight_on_machine
 
 
 class TestClusterRun:

@@ -27,7 +27,7 @@ import pytest
 from repro.algorithms.clairvoyant import simulate_clairvoyant
 from repro.algorithms.nc_general import simulate_nc_general
 from repro.algorithms.nc_uniform import simulate_nc_uniform
-from repro.analysis.trace_report import build_report
+from repro.analysis.trace_report import build_report, trace_lemma_pair
 from repro.core.job import Instance, Job
 from repro.core.metrics import evaluate
 from repro.core.power import PowerLaw
@@ -423,6 +423,28 @@ class TestReplay:
         live_rep = evaluate(live.schedule, inst, power)
         replay_rep = evaluate(replayed, inst, power)
         assert replay_rep.energy == pytest.approx(live_rep.energy, rel=1e-12)
+
+    def test_trace_lemma_pair_writes_header_then_pair(self):
+        power = PowerLaw(ALPHA)
+        inst = _uniform_instance(n=7, seed=3)
+        rec = MemoryRecorder()
+        trace_lemma_pair(inst, power, SimulationContext(power, recorder=rec), "harness", run=4)
+        header = rec.events[0]
+        assert (header.kind, header.component) == ("run_meta", "harness")
+        assert header.payload == {
+            "alpha": ALPHA,
+            "instance": [[j.job_id, j.release, j.volume, j.density] for j in inst],
+            "run": 4,
+        }
+        report = build_report(rec.events)
+        assert report.ok
+        assert {c.name.split(":")[0] for c in report.checks} == {"Lemma 3", "Lemma 4"}
+
+        # NC needs uniform densities: a mixed instance gets the header alone.
+        mixed = Instance([Job(0, 0.0, 1.0, 1.0), Job(1, 0.5, 1.0, 4.0)])
+        rec = MemoryRecorder()
+        trace_lemma_pair(mixed, power, SimulationContext(power, recorder=rec), "harness")
+        assert [e.kind for e in rec.events] == ["run_meta"]
 
     def test_golden_corpus_jsonl_lemma3(self, tmp_path):
         """The acceptance path: golden instance -> JsonlRecorder -> read back
