@@ -18,7 +18,7 @@ from .density_rounding import (
 )
 from .integral_conversion import IntegralConversion, convert, to_integral_schedule
 from .nc_general import NCGeneralPolicy, NCGeneralRun, eta_threshold, simulate_nc_general
-from .nc_uniform import NCUniformPolicy, NCUniformRun, simulate_nc_uniform
+from .nc_uniform import NCUniformPolicy, NCUniformRun, NCUniformRunner, simulate_nc_uniform
 from .registry import ALGORITHMS, DEFAULT_MAX_STEP, AlgorithmSpec, algorithm_names, algorithm_spec
 
 __all__ = [
@@ -27,6 +27,7 @@ __all__ = [
     "simulate_clairvoyant",
     "hdf_key",
     "NCUniformRun",
+    "NCUniformRunner",
     "NCUniformPolicy",
     "simulate_nc_uniform",
     "NCGeneralRun",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ScheduleError
-from .job import Instance
+from .job import Instance, Job
 from .power import PowerFunction
 from .schedule import Schedule
 
@@ -113,10 +113,8 @@ def evaluate(
     frac: dict[int, float] = {}
     integ: dict[int, float] = {}
     for job in instance:
-        c = schedule.completion_time(job.job_id, job.volume)
-        completions[job.job_id] = c
-        integ[job.job_id] = job.weight * (c - job.release)
-        frac[job.job_id] = job.density * _remaining_volume_integral(schedule, job.job_id, job.release, c, job.volume)
+        jid = job.job_id
+        completions[jid], integ[jid], frac[jid] = _job_costs(schedule, job)
 
     return CostReport(
         energy=energy,
@@ -124,6 +122,20 @@ def evaluate(
         integral_flow_by_job=integ,
         completion_times=completions,
     )
+
+
+def _job_costs(schedule: Schedule, job: Job) -> tuple[float, float, float]:
+    """``(completion time, integral flow, fractional flow)`` of one job.
+
+    Reads only the job's own segments and the segments in its window
+    ``[release, completion]``, so any schedule holding those scores the job
+    exactly as the full one does."""
+    c = schedule.completion_time(job.job_id, job.volume)
+    integ = job.weight * (c - job.release)
+    frac = job.density * _remaining_volume_integral(
+        schedule, job.job_id, job.release, c, job.volume
+    )
+    return c, integ, frac
 
 
 def _remaining_volume_integral(

@@ -49,6 +49,9 @@ def greedy_dispatch(
         j.job_id: 0.0 if beta is None else round_density_down(j.density, beta)
         for j in instance
     }
+    if machines == 1:
+        # One machine takes every job; there is no weight to compare.
+        return {0: [j.job_id for j in instance]}
     if context is None:
         context = SimulationContext(power)
     assignments: dict[int, list[int]] = {i: [] for i in range(machines)}

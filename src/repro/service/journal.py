@@ -32,6 +32,7 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+import zlib
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 from urllib.parse import quote, unquote
@@ -178,16 +179,14 @@ class SessionJournal:
 _GZIP_MAGIC = b"\x1f\x8b"
 
 
-def _iter_lines(path: Path) -> Iterator[str]:
-    """Raw journal lines, tolerating a truncated gzip stream (SIGKILLed
-    writer) the same way :func:`~repro.core.tracing.iter_jsonl` does."""
+def _iter_lines(path: Path) -> Iterator[bytes]:
+    """Raw journal lines as bytes, tolerating a truncated gzip stream
+    (SIGKILLed writer) the same way :func:`~repro.core.tracing.iter_jsonl`
+    does.  Decoding is left to :func:`read_journal`, so a byte that is not
+    UTF-8 is judged by the torn-tail rule like any other damage."""
     with path.open("rb") as probe:
         magic = probe.read(2)
-    fh = (
-        gzip.open(path, "rt", encoding="utf-8")
-        if magic == _GZIP_MAGIC
-        else path.open("r", encoding="utf-8")
-    )
+    fh = gzip.open(path, "rb") if magic == _GZIP_MAGIC else path.open("rb")
     with fh:
         try:
             for line in fh:
@@ -196,20 +195,23 @@ def _iter_lines(path: Path) -> Iterator[str]:
                     yield stripped
         except (EOFError, gzip.BadGzipFile):
             return
+        except zlib.error as err:  # a damaged deflate stream, not a cut one
+            raise JournalCorruption(f"{path}: damaged gzip stream ({err})") from err
 
 
 def read_journal(paths: Sequence[str | Path] | str | Path) -> list[dict[str, Any]]:
     """Decode a journal back into its records, verifying every line.
 
     Accepts one path or a sequence of rotated segments (in order).  Exactly
-    one malformed *final* line is dropped as a torn tail; a malformed line,
-    checksum mismatch, or ``seq`` gap anywhere else raises
-    :class:`JournalCorruption` naming the offending line.
+    one malformed *final* line — bad JSON or bytes that are not UTF-8 — is
+    dropped as a torn tail; a malformed line, checksum mismatch, or ``seq``
+    gap anywhere else raises :class:`JournalCorruption` naming the offending
+    line.
     """
     seq: Sequence[str | Path] = (
         [paths] if isinstance(paths, (str, Path)) else list(paths)
     )
-    lines: list[tuple[Path, str]] = []
+    lines: list[tuple[Path, bytes]] = []
     for p in seq:
         p = Path(p)
         lines.extend((p, line) for line in _iter_lines(p))
@@ -217,8 +219,8 @@ def read_journal(paths: Sequence[str | Path] | str | Path) -> list[dict[str, Any
     for i, (path, line) in enumerate(lines):
         is_last = i == len(lines) - 1
         try:
-            envelope = json.loads(line)
-        except json.JSONDecodeError:
+            envelope = json.loads(line.decode("utf-8"))
+        except ValueError:  # UnicodeDecodeError or JSONDecodeError
             if is_last:
                 break  # torn tail: the write was never acked; drop it
             raise JournalCorruption(
@@ -231,7 +233,9 @@ def read_journal(paths: Sequence[str | Path] | str | Path) -> list[dict[str, Any
         ):
             raise JournalCorruption(f"{path} line {i}: not a journal envelope")
         body = envelope["body"]
-        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        # A damaged escape can decode to a lone surrogate; it then fails the
+        # checksum rather than the encoding.
+        digest = hashlib.sha256(body.encode("utf-8", "surrogatepass")).hexdigest()
         if digest != envelope["checksum"]:
             raise JournalCorruption(
                 f"{path} line {i}: checksum mismatch "

@@ -50,6 +50,16 @@ class TestCPar:
         solo = evaluate(simulate_clairvoyant(three_jobs, cube).schedule, three_jobs, cube)
         assert par.fractional_objective == pytest.approx(solo.fractional_objective, rel=1e-9)
 
+    @pytest.mark.parametrize("beta", [None, 2.0])
+    def test_one_machine_dispatches_without_shadow_queries(self, cube, beta):
+        from repro.core.shadow import SimulationContext
+        from repro.parallel.c_par import greedy_dispatch
+
+        inst = Instance([Job(i, 0.3 * i, 1.0 + i, 1.0 + i % 3) for i in range(6)])
+        ctx = SimulationContext(cube)
+        assert greedy_dispatch(inst, cube, 1, beta=beta, context=ctx) == {0: list(inst.job_ids)}
+        assert ctx.counters.queries == 0
+
     def test_simultaneous_jobs_spread(self, cube):
         inst = Instance([Job(i, i * 1e-6, 1.0) for i in range(4)])
         run = simulate_c_par(inst, cube, 4)

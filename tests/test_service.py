@@ -23,22 +23,30 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+import tempfile
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 pytest.importorskip("pydantic")
 
 from repro import io
-from repro.algorithms import ALGORITHMS
+from repro.algorithms import ALGORITHMS, simulate_nc_uniform
+from repro.analysis.gantt import gantt_chart
 from repro.core.job import Instance, Job
+from repro.core.metrics import evaluate
 from repro.core.power import PowerLaw
 from repro.core.shadow import SimulationContext
 from repro.core.tracing import iter_trace
 from repro.service import TestClient, create_app, serve
-from repro.service.models import ScheduleModel
+from repro.service.journal import JournalCorruption, SessionJournal, journal_path, read_journal
+from repro.service.models import ReportModel, ScheduleModel, SessionCreateRequest
+from repro.service.sessions import SessionManager
 from repro.workloads import random_instance
 
 ALPHA = 3.0
@@ -492,3 +500,262 @@ def test_socket_server_serves_the_app(tmp_path):
     # serve()'s shutdown path flushed the session sink.
     kinds = [e.kind for e in iter_trace([trace])]
     assert "arrival" in kinds and kinds[-1] == "session_close"
+
+
+# -- incremental NC reads -------------------------------------------------------
+
+NON_UNIFORM_NC = (
+    "Algorithm NC (§3) requires uniform densities; "
+    "use simulate_nc_general for the non-uniform case"
+)
+
+
+@st.composite
+def _nc_session_scripts(draw):
+    """One NC session's requests: arrival batches of 1-4 jobs (releases on a
+    grid, so ties are common, with ids in random order), each followed by up
+    to two reads of ``/metrics``, ``/schedule`` or ``/gantt`` or a restart
+    that restores the session from its journal."""
+    n = draw(st.integers(min_value=1, max_value=14))
+    ids = draw(st.permutations(range(n)))
+    steps = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, 1.25]), min_size=n, max_size=n))
+    vols = draw(
+        st.lists(st.floats(min_value=0.05, max_value=6.0, allow_nan=False), min_size=n, max_size=n)
+    )
+    rho = draw(st.sampled_from([1.0, 3.0]))
+    jobs = [Job(ids[i], sum(steps[: i + 1]), vols[i], rho) for i in range(n)]
+    script: list = []
+    i = 0
+    while i < n:
+        k = draw(st.integers(min_value=1, max_value=4))
+        script.append(jobs[i : i + k])
+        i += k
+        script += draw(
+            st.lists(st.sampled_from(["metrics", "schedule", "gantt", "restart"]), max_size=2)
+        )
+    return script
+
+
+def _nc_reads_match_fresh_runs(script, journal_dir) -> None:
+    power = PowerLaw(ALPHA)
+    sent: list[Job] = []
+
+    def open_client(restore: bool) -> TestClient:
+        manager = SessionManager(journal_dir=journal_dir)
+        client = TestClient(create_app(manager))
+        client.__enter__()
+        if restore:
+            report = client._loop.run_until_complete(manager.restore())
+            assert report.restored == ["s"] and not report.skipped
+        return client
+
+    client = open_client(restore=False)
+    try:
+        client.post("/sessions", json_body={"session_id": "s", "alpha": ALPHA})
+        for step in script:
+            if step == "restart":
+                client.close()  # suspends the session; its journal stays
+                client = open_client(restore=True)
+                continue
+            if isinstance(step, list):
+                chunk = [
+                    {"id": j.job_id, "release": j.release, "volume": j.volume, "density": j.density}
+                    for j in step
+                ]
+                resp = client.post("/sessions/s/jobs", json_body={"jobs": chunk})
+                assert resp.status_code == 202, resp.json()
+                sent += step
+                continue
+            resp = client.get(f"/sessions/s/{step}", query="width=40" if step == "gantt" else "")
+            assert resp.status_code == 200, resp.json()
+            body = resp.json()
+            inst = Instance(sent)
+            fresh = simulate_nc_uniform(inst, power)
+            if step == "metrics":
+                want = evaluate(fresh.schedule, inst, power)
+                got = ReportModel.model_validate(body["report"])
+                assert body["n_jobs"] == len(sent)
+                assert got.to_report() == want
+                assert list(got.completion_times.items()) == list(want.completion_times.items())
+                assert got.energy == want.energy
+                assert got.fractional_flow == want.fractional_flow
+                assert got.integral_flow == want.integral_flow
+            elif step == "schedule":
+                via_api = ScheduleModel.model_validate(body["schedule"]).to_schedule()
+                assert list(via_api) == list(fresh.schedule)
+            else:
+                assert body["chart"] == gantt_chart(fresh.schedule, width=40)
+                assert body["end_time"] == fresh.schedule.end_time
+    finally:
+        client.close()
+
+
+@given(script=_nc_session_scripts())
+@settings(max_examples=30, deadline=None)
+def test_nc_reads_equal_fresh_runs(script):
+    """Every NC read — through batches, tied releases in any id order,
+    interleaved reads and journal restarts — equals a fresh
+    ``simulate_nc_uniform`` + ``evaluate`` of the arrivals so far, float for
+    float, although the session extends one run instead of re-simulating."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _nc_reads_match_fresh_runs(script, Path(tmp))
+
+
+def test_nc_reread_is_identical_and_counts_nothing(client):
+    inst = random_instance(12, seed=5, density="unit")
+    client.post("/sessions", json_body={"session_id": "s", "alpha": ALPHA})
+    _feed(client, "s", inst)
+    first = client.get("/sessions/s/metrics")
+    assert first.status_code == 200
+    assert client.get("/sessions/s/schedule").status_code == 200
+    assert client.get("/sessions/s/gantt").status_code == 200
+    again = client.get("/sessions/s/metrics")
+    # Same body, counters included: the reads in between ran no NC pass.
+    assert again.body == first.body
+    _feed(client, "s", Instance([Job(99, inst.max_release + 1.0, 1.0)]))
+    grown = client.get("/sessions/s/metrics").json()
+    assert grown["n_jobs"] == len(inst) + 1
+    assert grown["counters"] != json.loads(first.body)["counters"]
+
+
+def test_nc_read_of_nonuniform_session_is_409(client):
+    client.post("/sessions", json_body={"session_id": "s"})
+    client.post(
+        "/sessions/s/jobs",
+        json_body={"jobs": [{"id": 0, "release": 0.0, "volume": 1.0, "density": 2.0}]},
+    )
+    assert client.get("/sessions/s/metrics").status_code == 200
+    client.post(
+        "/sessions/s/jobs",
+        json_body={"jobs": [{"id": 1, "release": 0.5, "volume": 1.0, "density": 1.0}]},
+    )
+    for path in ("metrics", "schedule", "gantt", "metrics"):
+        resp = client.get(f"/sessions/s/{path}")
+        assert resp.status_code == 409
+        assert resp.json()["detail"] == NON_UNIFORM_NC
+
+
+# -- future-t speeds ---------------------------------------------------------------
+
+
+@st.composite
+def _speed_scripts(draw):
+    """Arrival batches with mixed densities and tied releases, each followed
+    by reads at the session clock and at offsets beyond it."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    steps = draw(st.lists(st.sampled_from([0.0, 0.0, 0.3, 1.0, 2.5]), min_size=n, max_size=n))
+    vols = draw(st.lists(st.sampled_from([0.2, 0.7, 1.0, 3.0]), min_size=n, max_size=n))
+    dens = draw(st.lists(st.sampled_from([0.5, 1.0, 4.0]), min_size=n, max_size=n))
+    jobs = [Job(i, sum(steps[: i + 1]), vols[i], dens[i]) for i in range(n)]
+    script: list = []
+    i = 0
+    while i < n:
+        k = draw(st.integers(min_value=1, max_value=3))
+        script.append(jobs[i : i + k])
+        i += k
+        script += draw(st.lists(st.sampled_from([0.0, 0.0, 1e-9, 0.4, 2.0, 50.0]), max_size=3))
+    return script
+
+
+@given(script=_speed_scripts())
+@settings(max_examples=40, deadline=None)
+def test_future_speeds_equal_a_replay(script):
+    """``GET /speeds?t=`` beyond the clock, answered from a fork of the live
+    shadow, equals a fresh replay of every arrival advanced to ``t``."""
+    power = PowerLaw(ALPHA)
+
+    async def drive():
+        manager = SessionManager()
+        session = await manager.create_session(SessionCreateRequest(session_id="s", alpha=ALPHA))
+        sent: list[Job] = []
+        for step in script:
+            if isinstance(step, list):
+                await session.submit(step)
+                sent += step
+                continue
+            if not sent:
+                continue
+            t = session.clock + step
+            view = await session.speeds(t)
+            replay = SimulationContext(power).shadow()
+            for j in sent:
+                replay.insert_job(j.job_id, j.release, j.density, j.volume)
+                replay.advance(j.release)
+            replay.advance(t)
+            assert view["remaining_weight"] == replay.remaining_weight()
+            assert view["active"] == replay.remaining_items()
+        assert session.clock == max(j.release for j in sent)
+
+    asyncio.run(drive())
+
+
+# -- journal damage ----------------------------------------------------------------
+
+
+def _journal_bytes(tmp: Path, sink: str) -> bytes:
+    async def drive():
+        manager = SessionManager(journal_dir=tmp, journal_sink=sink)
+        session = await manager.create_session(SessionCreateRequest(session_id="s", alpha=ALPHA))
+        for i in range(3):
+            await session.submit([Job(i, float(i), 1.0 + i, 1.0)])
+        await manager.shutdown()
+
+    asyncio.run(drive())
+    return journal_path(tmp, "s").read_bytes()
+
+
+@pytest.mark.parametrize("sink", ["plain", "gzip"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_read_journal_survives_any_byte_damage(sink, data):
+    """Whatever bytes of a real journal are overwritten, ``read_journal``
+    returns records or raises ``JournalCorruption`` — nothing else."""
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = bytearray(_journal_bytes(Path(tmp), sink))
+        hits = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        for pos, byte in hits:
+            raw[pos] = byte
+        path = Path(tmp) / "damaged.journal.jsonl"
+        path.write_bytes(bytes(raw))
+        try:
+            records = read_journal(path)
+        except JournalCorruption:
+            return
+        assert all(isinstance(r, dict) for r in records)
+
+
+def test_restore_quarantines_a_non_utf8_journal(tmp_path):
+    async def drive():
+        manager = SessionManager(journal_dir=tmp_path)
+        for sid in ("a", "b", "c"):
+            session = await manager.create_session(
+                SessionCreateRequest(session_id=sid, alpha=ALPHA)
+            )
+            await session.submit([Job(0, 0.0, 1.0, 1.0)])
+        await manager.shutdown()
+
+    asyncio.run(drive())
+    path = journal_path(tmp_path, "b")
+    raw = bytearray(path.read_bytes())
+    raw[5] = 0xFF  # inside the first record: interior damage, not a torn tail
+    path.write_bytes(bytes(raw))
+    fresh = SessionManager(journal_dir=tmp_path)
+    report = asyncio.run(fresh.restore())
+    assert report.restored == ["a", "c"]
+    assert list(report.skipped) == ["b"] and "malformed" in report.skipped["b"]
+
+
+def test_non_utf8_torn_tail_is_dropped(tmp_path):
+    path = journal_path(tmp_path, "s")
+    journal = SessionJournal(path)
+    journal.append({"record": "session_create", "session": "s", "request": {"alpha": 3.0}})
+    journal.close()
+    with path.open("ab") as fh:
+        fh.write(b'{"body": "\xe2\x82')  # a write cut inside a UTF-8 sequence
+    assert [r["record"] for r in read_journal(path)] == ["session_create"]
