@@ -6,9 +6,10 @@ earliest release.  Speed rule: while processing job ``j`` at time ``t``,
     ``P(s(t)) = W^C(r[j]-) + W̆[j](t)``
 
 where ``W^C(r[j]-)`` is the remaining weight of *Algorithm C simulated on the
-prefix instance* (all jobs released strictly before ``r[j]``, whose volumes NC
-has already learned by completing them — FIFO guarantees this) just before
-``r[j]``, and ``W̆[j](t)`` is the weight of ``j`` that NC has processed so far.
+prefix instance* (every job FIFO ran before ``j``: those released before
+``r[j]`` and those tied with it but of smaller id, whose volumes NC has
+already learned by completing them) just before ``r[j]``, and ``W̆[j](t)``
+is the weight of ``j`` that NC has processed so far.
 
 Guarantees reproduced by the test-suite as *equalities*:
 
@@ -39,7 +40,13 @@ from ..core.job import Instance, Job
 from ..core.kernels import growth_time_between
 from ..core.metrics import CostReport, _job_costs, validate_schedule
 from ..core.power import PowerFunction, PowerLaw
-from ..core.schedule import ConstantSegment, GrowthSegment, Schedule, ScheduleBuilder
+from ..core.schedule import (
+    ConstantSegment,
+    GrowthSegment,
+    Schedule,
+    ScheduleBuilder,
+    trace_payload,
+)
 from ..core.shadow import PrefixWeightOracle, SimulationContext, shadow_params
 from ..core.tracing import TraceRecorder
 from .clairvoyant import ClairvoyantPolicy
@@ -174,12 +181,13 @@ class NCUniformRunner:
                 start = max(t, job.release)
                 # The speed-rule constant: Algorithm C's remaining weight just
                 # before r[j], over the prefix of already-completed (hence
-                # known) jobs.  The shadow reads C's live state rather than
-                # re-integrating a schedule: completed jobs are exactly
-                # absent, so no 1e-16 residue survives (residues get
-                # amplified by the 1/beta exponent of the growth curve when
-                # alpha is close to 1).
-                while revealed < len(jobs) and jobs[revealed].release < job.release:
+                # known) jobs: every placed job, since each precedes ``job``
+                # in FIFO order, a job tied in release with ``job`` included.
+                # The shadow reads C's live state rather than re-integrating
+                # a schedule: completed jobs are exactly absent, so no 1e-16
+                # residue survives (residues get amplified by the 1/beta
+                # exponent of the growth curve when alpha is close to 1).
+                while revealed < len(jobs):
                     done = jobs[revealed]
                     vol = done.volume
                     if filt is not None:
@@ -225,13 +233,9 @@ class NCUniformRunner:
                         "kernel_eval",
                         start,
                         component,
-                        profile="growth",
-                        t0=start,
-                        t1=start + tau,
-                        job=job.job_id,
-                        x0=offset,
-                        rho=job.density,
-                        alpha=alpha,
+                        **trace_payload(
+                            "growth", start, start + tau, job.job_id, offset, job.density, alpha
+                        ),
                     )
                     rec.emit("completion", start + tau, component, job=job.job_id)
                 t = start + tau
@@ -298,8 +302,8 @@ def simulate_nc_uniform(
     """Exact simulation of Algorithm NC on a uniform-density instance.
 
     All per-job speed-rule offsets ``W^C(r[j]-)`` come from **one**
-    incrementally-extended clairvoyant shadow run (jobs are revealed to it in
-    FIFO order, strictly-earlier releases first), not from per-job fresh
+    incrementally-extended clairvoyant shadow run (each job is revealed to it
+    once NC has completed it, in FIFO order), not from per-job fresh
     simulations — the offsets are bit-identical either way, by the shadow's
     staged-advance contract.  The pass itself is one :class:`NCUniformRunner`
     fed the whole instance.
@@ -350,13 +354,9 @@ def _saturated_job(
                     "kernel_eval",
                     cursor,
                     component,
-                    profile="growth",
-                    t0=cursor,
-                    t1=cursor + tau,
-                    job=job.job_id,
-                    x0=offset,
-                    rho=rho,
-                    alpha=alpha,
+                    **trace_payload(
+                        "growth", cursor, cursor + tau, job.job_id, offset, rho, alpha
+                    ),
                 )
             cursor += tau
         reached = u_sat
@@ -370,13 +370,7 @@ def _saturated_job(
                 "kernel_eval",
                 cursor,
                 component,
-                profile="const",
-                t0=cursor,
-                t1=cursor + tau,
-                job=job.job_id,
-                speed=s_max,
-                rho=rho,
-                alpha=alpha,
+                **trace_payload("const", cursor, cursor + tau, job.job_id, s_max, rho, alpha),
             )
         cursor += tau
     if cursor <= start:
@@ -447,33 +441,25 @@ class NCUniformPolicy(SchedulingPolicy):
         return self.power.speed(u)
 
     def _prefix_remaining_weight(self, release: float) -> float:
-        """``W^C(release-)`` from the jobs completed so far (all jobs released
-        strictly before ``release``, by FIFO)."""
+        """``W^C(release-)`` from the jobs completed so far: under FIFO, every
+        job that ran before the current one, a job tied in release with it
+        included."""
         if isinstance(self.power, PowerLaw):
             # One incrementally-extended shadow run serves every offset
             # query; FIFO makes both the queries and the insertions monotone.
             if self._prefix_oracle is None:
                 self._prefix_oracle = self.context.prefix_oracle(power=self.power)
-            for jid, (r, rho) in self._released.items():
-                if r < release and jid not in self._in_oracle:
-                    if jid not in self._completed:
-                        raise SimulationError(
-                            f"FIFO invariant broken: job {jid} released before {release} "
-                            "has not completed when its successor starts"
-                        )
-                    self._prefix_oracle.add_job(jid, r, rho, self._completed[jid])
+            for jid, volume in self._completed.items():
+                if jid not in self._in_oracle:
+                    r, rho = self._released[jid]
+                    self._prefix_oracle.add_job(jid, r, rho, volume)
                     self._in_oracle.add(jid)
             return self._prefix_oracle.weight_at(release)
 
-        prefix_jobs = []
-        for jid, (r, rho) in self._released.items():
-            if r < release:
-                if jid not in self._completed:
-                    raise SimulationError(
-                        f"FIFO invariant broken: job {jid} released before {release} "
-                        "has not completed when its successor starts"
-                    )
-                prefix_jobs.append(Job(jid, r, self._completed[jid], rho))
+        prefix_jobs = [
+            Job(jid, self._released[jid][0], volume, self._released[jid][1])
+            for jid, volume in self._completed.items()
+        ]
         if not prefix_jobs:
             return 0.0
         prefix = Instance(prefix_jobs)

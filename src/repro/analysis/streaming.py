@@ -84,12 +84,7 @@ from typing import Any
 from ..core.errors import InvalidInstanceError, InvalidPowerFunctionError, ScheduleError
 from ..core.job import Instance, Job
 from ..core.power import PowerLaw
-from ..core.schedule import (
-    ConstantSegment,
-    DecaySegment,
-    GrowthSegment,
-    Segment,
-)
+from ..core.schedule import Segment, segment_from_trace
 from ..core.tracing import TraceEvent
 
 # trace_report only imports this module lazily (inside build_report), so the
@@ -309,13 +304,13 @@ class IncrementalScheduleReplayer:
         if self.poison is not None:
             return
         try:
-            segment = self._make_segment(payload)
+            segment = segment_from_trace(payload)
             # ScheduleBuilder.append mirror: clock check, then advance.
             if segment.t0 < self._clock - _REL_TOL * max(1.0, self._clock):
                 raise ScheduleError(
                     f"segment starts at {segment.t0} before builder clock {self._clock}"
                 )
-        except (ScheduleError, ValueError) as err:
+        except ScheduleError as err:
             self.poison = err
             return
         self._clock = max(self._clock, segment.t1)
@@ -354,17 +349,6 @@ class IncrementalScheduleReplayer:
         if state is not None:
             state.got += segment.volume()
         self._advance_jobs(segment, state)
-
-    def _make_segment(self, p: dict[str, Any]) -> Segment:
-        t0, t1, job = float(p["t0"]), float(p["t1"]), int(p["job"])
-        profile = p["profile"]
-        if profile == "decay":
-            return DecaySegment(t0, t1, job, float(p["x0"]), float(p["rho"]), float(p["alpha"]))
-        if profile == "growth":
-            return GrowthSegment(t0, t1, job, float(p["x0"]), float(p["rho"]), float(p["alpha"]))
-        if profile == "const":
-            return ConstantSegment(t0, t1, job, float(p["speed"]))
-        raise ValueError(f"unknown kernel profile {profile!r} in trace")
 
     def _validate_segment(self, segment: Segment) -> None:
         """``validate_schedule``'s per-segment loop, first hit recorded."""
@@ -500,10 +484,13 @@ class StreamingReportBuilder:
     ``feed`` each event in order, then ``finish()`` returns the
     :class:`~repro.analysis.trace_report.TraceReport`.  Replay events seen
     before the ``run_meta`` header are buffered (bounded); the *first*
-    header decides the instance, even when it lacks one.  A payload whose
-    shape cannot be replayed (a missing key, a ``null`` field, a malformed
-    instance row, an invalid ``alpha``) raises :class:`ValueError` naming
-    the event's index.
+    header decides the instance, even when it lacks one.  A header that
+    cannot be replayed (a malformed instance row, an invalid ``alpha``)
+    raises :class:`ValueError` naming the event's index.  A ``kernel_eval``
+    payload that :func:`~repro.core.schedule.segment_from_trace` cannot
+    decode (a missing, ``null`` or non-numeric field, an unknown profile)
+    fails its component's replay with that
+    :class:`~repro.core.errors.ScheduleError`, like an invalid segment.
     """
 
     def __init__(self, *, rel_tol: float) -> None:
@@ -513,7 +500,7 @@ class StreamingReportBuilder:
         self._stats = ComponentStatsAggregator()
         self._meta_decided = False
         self._meta: tuple[Instance, PowerLaw] | None = None
-        self._buffer: list[tuple[int, TraceEvent]] = []
+        self._buffer: list[TraceEvent] = []
         self._replayers: dict[str, IncrementalScheduleReplayer] = {}
 
     def feed(self, event: TraceEvent) -> None:
@@ -534,9 +521,9 @@ class StreamingReportBuilder:
                         f"more than {_BUFFER_LIMIT} replay events "
                         f"before any run_meta header"
                     )
-                self._buffer.append((index, event))
+                self._buffer.append(event)
             return
-        self._route(index, event)
+        self._route(event)
 
     def _decide_meta(self, index: int, event: TraceEvent) -> None:
         """The first ``run_meta`` decides, even when it lacks the instance
@@ -557,10 +544,10 @@ class StreamingReportBuilder:
             for comp in pair:
                 self._replayers[comp] = IncrementalScheduleReplayer(comp, inst, power)
         buffered, self._buffer = self._buffer, []
-        for buffered_index, buffered_event in buffered:
-            self._route(buffered_index, buffered_event)
+        for buffered_event in buffered:
+            self._route(buffered_event)
 
-    def _route(self, index: int, event: TraceEvent) -> None:
+    def _route(self, event: TraceEvent) -> None:
         if self._meta is None:
             return
         replayer = self._replayers.get(event.component)
@@ -569,10 +556,7 @@ class StreamingReportBuilder:
         if event.kind == "retry":
             replayer.reset()
         elif event.kind == "kernel_eval":
-            try:
-                replayer.feed(event.payload)
-            except (KeyError, TypeError) as err:
-                raise _malformed(index, event, err) from err
+            replayer.feed(event.payload)
 
     def finish(self) -> TraceReport:
         checks: list[InvariantCheck] = []

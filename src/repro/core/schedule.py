@@ -11,20 +11,31 @@ re-sampling a trajectory:
 * :class:`DecaySegment` — the Algorithm C profile: speed ``X(t)**(1/alpha)``
   with the weight-like quantity ``X`` *decaying* as ``dX/dt = -rho X**(1/alpha)``.
 * :class:`GrowthSegment` — the Algorithm NC profile: same but *growing*.
+* :class:`ScaledSegment` — a base segment's speed times a constant factor.
 
 Decay/Growth segments are only meaningful under ``P(s) = s**alpha`` with the
 matching ``alpha`` (the profile embeds the power-equals-weight rule); their
 ``energy`` methods verify this and fall back to quadrature for other power
 functions.
+
+The module also owns the one segment format, in two forms.  The file/API
+form (:func:`segment_to_dict` / :func:`segment_from_dict`, used by
+:mod:`repro.io` and the service's ``/schedule``) names the class in
+``kind``; the trace form (:func:`trace_payload` / :func:`segment_from_trace`)
+is the payload of a ``kernel_eval`` event, which names the closed-form
+``profile`` and carries the job's ``rho`` and ``alpha`` even on a
+constant-speed piece.  Both decoders return a segment or raise
+:class:`~repro.core.errors.ScheduleError`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from scipy.integrate import quad
 
@@ -41,6 +52,10 @@ __all__ = [
     "ScaledSegment",
     "Schedule",
     "ScheduleBuilder",
+    "segment_to_dict",
+    "segment_from_dict",
+    "trace_payload",
+    "segment_from_trace",
 ]
 
 _REL_TOL = 1e-9
@@ -199,8 +214,10 @@ class _PowerLawSegment(Segment):
         super().__post_init__()
         if self.x0 < 0 or not math.isfinite(self.x0):
             raise ScheduleError(f"x0 must be finite >= 0, got {self.x0}")
-        if self.rho <= 0 or self.alpha <= 1:
-            raise ScheduleError(f"need rho > 0 and alpha > 1, got rho={self.rho}, alpha={self.alpha}")
+        if not (0 < self.rho < math.inf and 1 < self.alpha < math.inf):
+            raise ScheduleError(
+                f"need finite rho > 0 and alpha > 1, got rho={self.rho}, alpha={self.alpha}"
+            )
         if self.job_id is None:
             raise ScheduleError("power-law segments must process a job")
 
@@ -518,3 +535,135 @@ class ScheduleBuilder:
 
     def build(self) -> Schedule:
         return Schedule(self._segments)
+
+
+# -- the segment format -------------------------------------------------------
+
+
+def segment_to_dict(seg: Segment) -> dict[str, Any]:
+    """The file/API form of ``seg``: ``t0``, ``t1``, ``job``, then ``kind``
+    and the closed-form parameters verbatim (a scaled segment nests its
+    base), so a decoded segment evaluates to bit-equal costs."""
+    out: dict[str, Any] = {"t0": seg.t0, "t1": seg.t1, "job": seg.job_id}
+    if isinstance(seg, IdleSegment):
+        out["kind"] = "idle"
+    elif isinstance(seg, ConstantSegment):
+        out["kind"] = "constant"
+        out["speed"] = seg.speed
+    elif isinstance(seg, (DecaySegment, GrowthSegment)):
+        out["kind"] = "decay" if isinstance(seg, DecaySegment) else "growth"
+        out.update(x0=seg.x0, rho=seg.rho, alpha=seg.alpha)
+    elif isinstance(seg, ScaledSegment):
+        out["kind"] = "scaled"
+        out["factor"] = seg.factor
+        out["base"] = segment_to_dict(seg.base)
+    else:
+        raise ScheduleError(f"cannot serialise segment type {type(seg).__name__}")
+    return out
+
+
+def segment_from_dict(data: Any) -> Segment:
+    """Decode :func:`segment_to_dict`'s form; fields a kind does not use are
+    ignored (the API form carries them as nulls)."""
+    data = _object(data)
+    kind = _text(data, "kind")
+    t0, t1 = _number(data, "t0"), _number(data, "t1")
+    if kind == "idle":
+        return IdleSegment(t0, t1, _job(data, optional=True))
+    if kind == "constant":
+        # The numeric engine renders idle gaps as constant speed-0 segments
+        # with no job, so ``job`` may be null here.
+        return ConstantSegment(t0, t1, _job(data, optional=True), _number(data, "speed"))
+    if kind == "decay" or kind == "growth":
+        return _power_law(kind, t0, t1, _job(data), data)
+    if kind == "scaled":
+        if data.get("base") is None:
+            raise ScheduleError("a scaled segment needs a 'base' segment")
+        base = segment_from_dict(data["base"])
+        return ScaledSegment(t0, t1, _job(data, optional=True), base, _number(data, "factor"))
+    raise ScheduleError(f"unknown segment kind {kind!r}")
+
+
+def trace_payload(
+    profile: str, t0: float, t1: float, job: int, value: float, rho: float, alpha: float
+) -> dict[str, Any]:
+    """The ``kernel_eval`` payload of one closed-form piece of ``job``:
+    ``profile`` is ``"decay"``, ``"growth"`` or ``"const"``, and ``value`` is
+    the piece's starting ``x0``, or its ``speed`` for ``"const"``."""
+    return {
+        "profile": profile,
+        "t0": t0,
+        "t1": t1,
+        "job": job,
+        "speed" if profile == "const" else "x0": value,
+        "rho": rho,
+        "alpha": alpha,
+    }
+
+
+def segment_from_trace(payload: Any) -> Segment:
+    """Decode a :func:`trace_payload` back into the segment it describes."""
+    data = _object(payload)
+    profile = _text(data, "profile")
+    t0, t1, job = _number(data, "t0"), _number(data, "t1"), _job(data)
+    if profile == "decay" or profile == "growth":
+        return _power_law(profile, t0, t1, job, data)
+    if profile == "const":
+        return ConstantSegment(t0, t1, job, _number(data, "speed"))
+    raise ScheduleError(f"unknown kernel profile {profile!r} in trace")
+
+
+def _power_law(kind: str, t0: float, t1: float, job: int | None, data: dict[str, Any]) -> Segment:
+    x0, rho, alpha = _number(data, "x0"), _number(data, "rho"), _number(data, "alpha")
+    if kind == "decay":
+        return DecaySegment(t0, t1, job, x0, rho, alpha)
+    return GrowthSegment(t0, t1, job, x0, rho, alpha)
+
+
+# The field readers return the common type at once and check anything else.
+
+
+def _object(data: Any) -> dict[str, Any]:
+    if not isinstance(data, dict):
+        raise ScheduleError(f"a segment must be an object, got {type(data).__name__}")
+    return data
+
+
+def _bad_field(data: dict[str, Any], name: str, expected: str) -> ScheduleError:
+    if name not in data:
+        return ScheduleError(f"segment has no {name!r} field")
+    got = type(data[name]).__name__
+    return ScheduleError(f"segment field {name!r} must be {expected}, got {got}")
+
+
+def _text(data: dict[str, Any], name: str) -> str:
+    value = data.get(name)
+    if type(value) is str:
+        return value
+    raise _bad_field(data, name, "a string")
+
+
+def _number(data: dict[str, Any], name: str) -> float:
+    value = data.get(name)
+    if type(value) is float:
+        return value
+    if not isinstance(value, (str, bytes, bool)):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise _bad_field(data, name, "a number")
+
+
+def _job(data: dict[str, Any], *, optional: bool = False) -> int | None:
+    value = data.get("job")
+    if type(value) is int:
+        return value
+    if value is None and optional and "job" in data:
+        return None
+    if value is not None and not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise _bad_field(data, "job", "an integer")

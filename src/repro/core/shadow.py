@@ -10,9 +10,9 @@ advances it event-by-event with the closed-form decay kernel, so a query at
 time ``t`` costs only the events between the previous query and ``t``:
 
 * :class:`ClairvoyantShadow` — C's live remaining-weight state with
-  ``advance(t)``, ``insert_job()`` / ``grow_weight()`` deltas and
-  ``checkpoint()`` / ``rollback()`` for the speculative re-runs NC-general
-  needs (its current job's weight in ``I(t)`` changes at every engine step).
+  ``advance(t)``, ``insert_job()`` and ``checkpoint()`` / ``rollback()``
+  for the speculative re-runs NC-general needs (its current job's weight
+  in ``I(t)`` changes at every engine step).
 * :class:`EpochShadow` — NC-general's epoch bases: raw
   :class:`ShadowSnapshot` s after each admission let every epoch rebuild
   resume from the last unchanged release, and queries that stay inside
@@ -52,6 +52,7 @@ from typing import Any, Callable
 from .errors import SimulationError
 from .kernels import decay_weight_after
 from .power import PowerFunction
+from .schedule import trace_payload
 from .tracing import NULL_RECORDER, MetricsRegistry, TraceRecorder
 
 __all__ = [
@@ -332,27 +333,6 @@ class ClairvoyantShadow:
             # new release and admits the job, mirroring a fresh run.
             self._run_loop(self.clock)
 
-    def grow_weight(self, job_id: int, delta_volume: float) -> None:
-        """Grow a *pending* (not yet admitted) job's volume by ``delta_volume``.
-
-        Once a job has been admitted its past processing depends on its
-        volume, so growing it would rewrite history — rollback to a
-        checkpoint before its admission instead.
-        """
-        if delta_volume < 0:
-            raise ValueError(f"delta_volume must be >= 0, got {delta_volume}")
-        for i in range(self._next, len(self._pending)):
-            rel, jid, rho, vol = self._pending[i]
-            if jid == job_id:
-                self._pending[i] = (rel, jid, rho, vol + delta_volume)
-                return
-        if job_id in self._remaining:
-            raise SimulationError(
-                f"job {job_id} is already admitted; its weight can no longer "
-                "grow in place — rollback to before its admission"
-            )
-        raise SimulationError(f"job {job_id} is not known to the shadow")
-
     # -- time -----------------------------------------------------------------
 
     def advance(self, horizon: float) -> None:
@@ -508,15 +488,7 @@ class ClairvoyantShadow:
                             (
                                 "kernel_eval",
                                 t,
-                                {
-                                    "profile": "const",
-                                    "t0": t,
-                                    "t1": t_stop,
-                                    "job": cur,
-                                    "speed": s_max,
-                                    "rho": rho,
-                                    "alpha": alpha,
-                                },
+                                trace_payload("const", t, t_stop, cur, s_max, rho, alpha),
                             )
                         )
                     dv = s_max * tau
@@ -559,15 +531,9 @@ class ClairvoyantShadow:
                         (
                             "kernel_eval",
                             t,
-                            {
-                                "profile": "decay",
-                                "t0": t,
-                                "t1": t + tau_complete,
-                                "job": cur,
-                                "x0": w_total,
-                                "rho": rho,
-                                "alpha": alpha,
-                            },
+                            trace_payload(
+                                "decay", t, t + tau_complete, cur, w_total, rho, alpha
+                            ),
                         )
                     )
                 t = t + tau_complete
@@ -598,15 +564,7 @@ class ClairvoyantShadow:
                             (
                                 "kernel_eval",
                                 t,
-                                {
-                                    "profile": "decay",
-                                    "t0": t,
-                                    "t1": t_stop,
-                                    "job": cur,
-                                    "x0": w_total,
-                                    "rho": rho,
-                                    "alpha": alpha,
-                                },
+                                trace_payload("decay", t, t_stop, cur, w_total, rho, alpha),
                             )
                         )
                     old = rem[cur]
@@ -680,13 +638,9 @@ class ClairvoyantShadow:
                     "kernel_eval",
                     self._t_loop,
                     self.component,
-                    profile="const",
-                    t0=self._t_loop,
-                    t1=self.clock,
-                    job=cur,
-                    speed=self.s_max,
-                    rho=rho,
-                    alpha=self.alpha,
+                    **trace_payload(
+                        "const", self._t_loop, self.clock, cur, self.s_max, rho, self.alpha
+                    ),
                 )
             dv = self.s_max * tau
         else:
@@ -699,13 +653,9 @@ class ClairvoyantShadow:
                     "kernel_eval",
                     self._t_loop,
                     self.component,
-                    profile="decay",
-                    t0=self._t_loop,
-                    t1=self.clock,
-                    job=cur,
-                    x0=w_total,
-                    rho=rho,
-                    alpha=self.alpha,
+                    **trace_payload(
+                        "decay", self._t_loop, self.clock, cur, w_total, rho, self.alpha
+                    ),
                 )
         old = rem[cur]
         new_v = max(old - dv, 0.0)
@@ -1289,15 +1239,6 @@ class SimulationContext:
         self.oracle_factory: Callable[[Any], Any] | None = None
         self.volume_filter: Callable[[int, float], float] | None = None
         self.step_interceptor: Callable[[float, int, float], float] | None = None
-
-    def reveal_volume(self, job_id: int, volume: float) -> float:
-        """Route a completed job's volume reveal through the fault filter.
-
-        Identity when no :attr:`volume_filter` is installed — the analytic
-        simulators call this at every completion, so the no-fault path must
-        return ``volume`` unchanged (same float object, bit-identical)."""
-        f = self.volume_filter
-        return volume if f is None else f(job_id, volume)
 
     # -- checkpoint / restore (supervised runtime) ---------------------------
 

@@ -51,7 +51,7 @@ Hot loops must hoist the recorder once and guard every emission::
     rec = rec if rec.enabled else None
     ...
     if rec is not None:
-        rec.emit("kernel_eval", t, "shadow", profile="decay", ...)
+        rec.emit("kernel_eval", t, "shadow", **trace_payload("decay", ...))
 
 :class:`NullRecorder` advertises ``enabled = False``, so a run with tracing
 off pays exactly one attribute read at setup — no event objects, no payload

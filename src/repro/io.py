@@ -4,7 +4,7 @@ Experiment artifacts should be reproducible *and* archivable: the bench
 harness stores text renderings, and this module provides the structured
 counterpart — JSON-friendly dictionaries with exact round-tripping of the
 analytic segment parameters (so a re-loaded schedule evaluates to bit-equal
-costs).
+costs).  The segment form itself lives in :mod:`repro.core.schedule`.
 """
 
 from __future__ import annotations
@@ -15,15 +15,7 @@ from typing import Any
 from .core.errors import ScheduleError
 from .core.job import Instance, Job
 from .core.metrics import CostReport
-from .core.schedule import (
-    ConstantSegment,
-    DecaySegment,
-    GrowthSegment,
-    IdleSegment,
-    ScaledSegment,
-    Schedule,
-    Segment,
-)
+from .core.schedule import Schedule, segment_from_dict, segment_to_dict
 
 __all__ = [
     "instance_to_dict",
@@ -55,53 +47,20 @@ def instance_from_dict(data: dict[str, Any]) -> Instance:
     )
 
 
-def _segment_to_dict(seg: Segment) -> dict[str, Any]:
-    base: dict[str, Any] = {"t0": seg.t0, "t1": seg.t1, "job": seg.job_id}
-    if isinstance(seg, IdleSegment):
-        base["kind"] = "idle"
-    elif isinstance(seg, ConstantSegment):
-        base["kind"] = "constant"
-        base["speed"] = seg.speed
-    elif isinstance(seg, DecaySegment):
-        base["kind"] = "decay"
-        base.update(x0=seg.x0, rho=seg.rho, alpha=seg.alpha)
-    elif isinstance(seg, GrowthSegment):
-        base["kind"] = "growth"
-        base.update(x0=seg.x0, rho=seg.rho, alpha=seg.alpha)
-    elif isinstance(seg, ScaledSegment):
-        base["kind"] = "scaled"
-        base["factor"] = seg.factor
-        base["base"] = _segment_to_dict(seg.base)
-    else:
-        raise ScheduleError(f"cannot serialise segment type {type(seg).__name__}")
-    return base
-
-
-def _segment_from_dict(data: dict[str, Any]) -> Segment:
-    kind = data["kind"]
-    t0, t1, job = data["t0"], data["t1"], data["job"]
-    if kind == "idle":
-        return IdleSegment(t0, t1, None)
-    if kind == "constant":
-        return ConstantSegment(t0, t1, job, data["speed"])
-    if kind == "decay":
-        return DecaySegment(t0, t1, job, data["x0"], data["rho"], data["alpha"])
-    if kind == "growth":
-        return GrowthSegment(t0, t1, job, data["x0"], data["rho"], data["alpha"])
-    if kind == "scaled":
-        return ScaledSegment(t0, t1, job, _segment_from_dict(data["base"]), data["factor"])
-    raise ScheduleError(f"unknown segment kind {kind!r}")
-
-
 def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
     return {
         "schema": _SCHEMA_VERSION,
-        "segments": [_segment_to_dict(s) for s in schedule],
+        "segments": [segment_to_dict(s) for s in schedule],
     }
 
 
 def schedule_from_dict(data: dict[str, Any]) -> Schedule:
-    return Schedule(_segment_from_dict(s) for s in data["segments"])
+    """Decode :func:`schedule_to_dict`'s form; a malformed payload raises
+    :class:`~repro.core.errors.ScheduleError`."""
+    segments = data.get("segments") if isinstance(data, dict) else None
+    if not isinstance(segments, list):
+        raise ScheduleError("a schedule must be an object with a 'segments' list")
+    return Schedule(segment_from_dict(s) for s in segments)
 
 
 def report_to_dict(report: CostReport) -> dict[str, Any]:
@@ -120,7 +79,9 @@ def report_to_dict(report: CostReport) -> dict[str, Any]:
     }
 
 
-def dump_run(path: str, instance: Instance, schedule: Schedule, *, meta: dict | None = None) -> None:
+def dump_run(
+    path: str, instance: Instance, schedule: Schedule, *, meta: dict[str, Any] | None = None
+) -> None:
     """Write an (instance, schedule) pair as JSON."""
     payload = {
         "schema": _SCHEMA_VERSION,
@@ -132,7 +93,7 @@ def dump_run(path: str, instance: Instance, schedule: Schedule, *, meta: dict | 
         json.dump(payload, fh)
 
 
-def load_run(path: str) -> tuple[Instance, Schedule, dict]:
+def load_run(path: str) -> tuple[Instance, Schedule, dict[str, Any]]:
     """Read an (instance, schedule, meta) triple written by :func:`dump_run`."""
     with open(path) as fh:
         payload = json.load(fh)

@@ -44,7 +44,7 @@ from ..core.errors import InvalidInstanceError, SimulationError
 from ..core.job import Instance, Job
 from ..core.kernels import growth_time_between
 from ..core.power import PowerLaw
-from ..core.schedule import GrowthSegment, ScheduleBuilder
+from ..core.schedule import GrowthSegment, ScheduleBuilder, trace_payload
 from ..core.shadow import SimulationContext, uncapped_alpha
 from .cluster import ClusterRun
 
@@ -225,13 +225,7 @@ def global_queue(
                 "kernel_eval",
                 start,
                 comp,
-                profile="growth",
-                t0=start,
-                t1=start + tau,
-                job=jid,
-                x0=offset,
-                rho=rho,
-                alpha=alpha,
+                **trace_payload("growth", start, start + tau, jid, offset, rho, alpha),
             )
             rec.emit("completion", start + tau, comp, job=jid)
         assignments[chosen].append(jid)

@@ -1,7 +1,7 @@
 """Scheduling-as-a-service: the paper's algorithms behind an async API.
 
 The non-clairvoyant model made operational — multi-tenant sessions accept
-jobs as online arrivals through a bounded (backpressured) queue, journal
+jobs as online arrivals in bounded (backpressured) batches, journal
 every committed batch to a per-session write-ahead log, and answer live
 speed/schedule/metrics/Gantt queries, verified Lemma 3/4 reports, and
 sharded parallel-machine campaigns.  Crashed services restore bit-identical

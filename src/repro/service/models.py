@@ -18,18 +18,9 @@ from typing import Any, Literal, Optional
 from pydantic import BaseModel, ConfigDict, Field
 
 from ..algorithms import DEFAULT_MAX_STEP, algorithm_names
-from ..core.errors import ScheduleError
 from ..core.job import Instance, Job
 from ..core.metrics import CostReport
-from ..core.schedule import (
-    ConstantSegment,
-    DecaySegment,
-    GrowthSegment,
-    IdleSegment,
-    ScaledSegment,
-    Schedule,
-    Segment,
-)
+from ..core.schedule import Schedule, segment_from_dict, segment_to_dict
 
 __all__ = [
     "JobModel",
@@ -85,7 +76,9 @@ class InstanceModel(BaseModel):
 
 
 class SegmentModel(BaseModel):
-    """One analytic schedule segment, the closed-form parameters verbatim."""
+    """One analytic schedule segment, the closed-form parameters verbatim:
+    :func:`~repro.core.schedule.segment_to_dict`'s form, with the fields a
+    kind does not use served as nulls."""
 
     kind: Literal["idle", "constant", "decay", "growth", "scaled"]
     t0: float
@@ -98,46 +91,6 @@ class SegmentModel(BaseModel):
     factor: Optional[float] = None
     base: Optional["SegmentModel"] = None
 
-    @classmethod
-    def from_segment(cls, seg: Segment) -> "SegmentModel":
-        if isinstance(seg, IdleSegment):
-            return cls(kind="idle", t0=seg.t0, t1=seg.t1, job=None)
-        if isinstance(seg, ConstantSegment):
-            return cls(kind="constant", t0=seg.t0, t1=seg.t1, job=seg.job_id, speed=seg.speed)
-        if isinstance(seg, DecaySegment):
-            return cls(
-                kind="decay", t0=seg.t0, t1=seg.t1, job=seg.job_id,
-                x0=seg.x0, rho=seg.rho, alpha=seg.alpha,
-            )
-        if isinstance(seg, GrowthSegment):
-            return cls(
-                kind="growth", t0=seg.t0, t1=seg.t1, job=seg.job_id,
-                x0=seg.x0, rho=seg.rho, alpha=seg.alpha,
-            )
-        if isinstance(seg, ScaledSegment):
-            return cls(
-                kind="scaled", t0=seg.t0, t1=seg.t1, job=seg.job_id,
-                factor=seg.factor, base=cls.from_segment(seg.base),
-            )
-        raise ScheduleError(f"cannot serialise segment type {type(seg).__name__}")
-
-    def to_segment(self) -> Segment:
-        if self.kind == "idle":
-            return IdleSegment(self.t0, self.t1, None)
-        if self.kind == "constant":
-            # The numeric engine renders idle gaps as constant speed-0
-            # segments with no job, so ``job`` stays optional here.
-            assert self.speed is not None
-            return ConstantSegment(self.t0, self.t1, self.job, self.speed)
-        if self.kind == "decay":
-            assert self.x0 is not None and self.rho is not None and self.alpha is not None
-            return DecaySegment(self.t0, self.t1, self.job, self.x0, self.rho, self.alpha)
-        if self.kind == "growth":
-            assert self.x0 is not None and self.rho is not None and self.alpha is not None
-            return GrowthSegment(self.t0, self.t1, self.job, self.x0, self.rho, self.alpha)
-        assert self.base is not None and self.factor is not None
-        return ScaledSegment(self.t0, self.t1, self.job, self.base.to_segment(), self.factor)
-
 
 class ScheduleModel(BaseModel):
     schema_version: int = 1
@@ -145,10 +98,10 @@ class ScheduleModel(BaseModel):
 
     @classmethod
     def from_schedule(cls, schedule: Schedule) -> "ScheduleModel":
-        return cls(segments=[SegmentModel.from_segment(s) for s in schedule])
+        return cls.model_validate({"segments": [segment_to_dict(s) for s in schedule]})
 
     def to_schedule(self) -> Schedule:
-        return Schedule(s.to_segment() for s in self.segments)
+        return Schedule(segment_from_dict(s.model_dump()) for s in self.segments)
 
 
 class ReportModel(BaseModel):
@@ -197,9 +150,9 @@ class SessionCreateRequest(BaseModel):
 
     ``session_id=None`` lets the service mint one.  ``jobs`` seeds the
     session with an initial batch of arrivals (equivalent to streaming them
-    immediately after creation).  ``queue_limit`` bounds the per-session
-    arrival queue — the backpressure knob; a batch that would overflow it is
-    rejected with 429.  ``trace_path`` attaches a per-session
+    immediately after creation).  ``queue_limit`` bounds one arrival
+    batch — the backpressure knob; a longer batch is rejected with 429.
+    ``trace_path`` attaches a per-session
     :class:`~repro.core.tracing.JsonlRecorder` (``sink``: ``plain`` | ``gzip``
     | ``rotate:N`` with ``N >= 1``; anything else is a 422), flushed on
     session close and on service shutdown.
@@ -225,6 +178,7 @@ class SessionInfo(BaseModel):
     alpha: float
     clock: float
     jobs_accepted: int
+    #: always 0: an accepted batch commits within its request
     queue_depth: int
     queue_limit: int
     closed: bool
@@ -249,6 +203,7 @@ class ArrivalAck(BaseModel):
     accepted: int
     jobs_accepted: int
     clock: float
+    #: always 0: an accepted batch commits within its request
     queue_depth: int
 
 

@@ -12,7 +12,7 @@ duplicate id, closed session,             409
 out-of-order release, empty session,
 non-uniform verified report
 evicted session, pruned campaign          410
-arrival batch would overflow the queue    429
+arrival batch longer than queue_limit     429
 session-create rate limit exceeded        429 (+ Retry-After)
 pydantic validation failure               422
 session store at admission limit          503
@@ -74,7 +74,7 @@ def _session_info(session: Session) -> SessionInfo:
         alpha=session.power.alpha,
         clock=session.clock,
         jobs_accepted=session.jobs_accepted,
-        queue_depth=session.queue.qsize(),
+        queue_depth=0,
         queue_limit=session.queue_limit,
         closed=session.closed,
         trace_paths=session.trace_paths,
@@ -203,7 +203,7 @@ def register_routes(app: App, manager: SessionManager) -> None:
                 accepted=accepted,
                 jobs_accepted=session.jobs_accepted,
                 clock=session.clock,
-                queue_depth=session.queue.qsize(),
+                queue_depth=0,
             ),
             status=202,
         )

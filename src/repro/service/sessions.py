@@ -1,9 +1,9 @@
 """Multi-tenant scheduling sessions and sharded campaigns.
 
 A :class:`Session` is the non-clairvoyant model made operational: jobs
-arrive over time with unknown-to-the-algorithm sizes, streamed in through a
-*bounded* queue (the backpressure boundary), and the session answers live
-queries — current speeds from an incrementally-advanced
+arrive over time with unknown-to-the-algorithm sizes, streamed in batches
+of at most ``queue_limit`` (the backpressure boundary), and the session
+answers live queries — current speeds from an incrementally-advanced
 :class:`~repro.core.shadow.ClairvoyantShadow`, full schedules/metrics/Gantt
 data from the session's algorithm over the arrivals received so far (for
 NC, one :class:`~repro.algorithms.nc_uniform.NCUniformRunner` extended by
@@ -12,7 +12,7 @@ reports that replay a traced (C, NC) pair through the streaming Lemma 3/4
 verifier.
 
 Concurrency model: every session owns one ``asyncio.Lock``; all state
-mutation (queue drain into the shadow, schedule computation) happens under
+mutation (arrivals into the shadow, schedule computation) happens under
 it, so interleaved requests against different sessions never share mutable
 state and interleaved requests against one session serialize.  Determinism
 is the contract the differential tests pin: a session fed jobs through the
@@ -86,14 +86,13 @@ __all__ = [
 
 
 class Backpressure(Exception):
-    """The arrival batch would overflow the session's bounded queue."""
+    """The arrival batch is larger than the session's queue limit."""
 
-    def __init__(self, depth: int, limit: int, batch: int) -> None:
+    def __init__(self, limit: int, batch: int) -> None:
         super().__init__(
-            f"queue at depth {depth}/{limit} cannot absorb a batch of {batch}; "
-            "retry after the backlog drains"
+            f"a batch of {batch} arrivals exceeds the session's queue limit of "
+            f"{limit}; retry in batches of at most {limit}"
         )
-        self.depth = depth
         self.limit = limit
         self.batch = batch
 
@@ -240,7 +239,6 @@ class Session:
         #: release, never rolled back.
         self.shadow = self.context.shadow(component="service.shadow")
         self.lock = asyncio.Lock()
-        self.queue: asyncio.Queue[Job] = asyncio.Queue(maxsize=request.queue_limit)
         self.jobs: list[Job] = []
         self.jobs_accepted = 0
         #: the NC run over ``jobs[:_nc_fed]``, built by the first NC read
@@ -321,24 +319,24 @@ class Session:
         """Stream a batch of arrivals in; returns the number accepted.
 
         Batches are all-or-nothing: the whole batch is vetted under the lock
-        *before* any state mutation — if it would overflow the bounded queue
+        *before* any state mutation — if it is longer than ``queue_limit``
         the request fails with :class:`Backpressure`, and if any member is
         out of order or a duplicate the request fails with
         :class:`~repro.core.errors.SimulationError` — and in both cases
-        nothing is enqueued or committed, so a corrected retry of the same
-        batch succeeds (a partial admit would silently reorder arrivals
-        relative to the client's retry).
+        nothing is committed, so a corrected retry of the same batch
+        succeeds (a partial admit would silently reorder arrivals relative
+        to the client's retry).  An accepted batch commits within the
+        request, so no arrival ever waits in a queue.
         """
         async with self.lock:
             self._check_open()
-            depth = self.queue.qsize()
-            if depth + len(jobs) > self.queue_limit:
-                raise Backpressure(depth, self.queue_limit, len(jobs))
+            if len(jobs) > self.queue_limit:
+                raise Backpressure(self.queue_limit, len(jobs))
             self._validate_batch(jobs)
             if self.journal is not None:
                 # Write-ahead: the batch is durable before anything mutates
                 # and before the ack.  A journal failure (torn write) aborts
-                # here — nothing enqueued, nothing committed, no ack.
+                # here — nothing committed, no ack.
                 try:
                     self.journal.append(
                         {
@@ -361,9 +359,7 @@ class Session:
                     if isinstance(self.recorder, JsonlRecorder):
                         self.recorder.close()
                     raise
-            for job in jobs:
-                self.queue.put_nowait(job)
-            self._drain()
+            self._commit(jobs)
         return len(jobs)
 
     def _validate_batch(self, jobs: list[Job]) -> None:
@@ -371,10 +367,11 @@ class Session:
 
         Mirrors the shadow's own rejection rules — duplicate ids and
         releases behind the committed clock — plus in-batch release
-        monotonicity, so :meth:`_drain` cannot fail partway through and
-        leave a prefix of the batch committed with the rest stranded in
-        the queue.  (Positive volumes/densities are already enforced by
-        the pydantic layer and :class:`~repro.core.job.Job` itself.)
+        monotonicity, so :meth:`_commit` cannot fail partway through and
+        leave a prefix of the batch committed.  Duplicates are checked
+        against :attr:`jobs`, since the shadow forgets completed jobs.
+        (Positive volumes/densities are already enforced by the pydantic
+        layer and :class:`~repro.core.job.Job` itself.)
         """
         known = {j.job_id for j in self.jobs}
         clock = self.clock
@@ -393,21 +390,16 @@ class Session:
             known.add(job.job_id)
             clock = job.release
 
-    def _drain(self) -> None:
-        """Move queued arrivals into the live shadow (lock held).
+    def _commit(self, jobs: list[Job]) -> None:
+        """Move a vetted batch into the live shadow (lock held).
 
         Each arrival is revealed to Algorithm C's shadow and the session
         clock advances to its release — exactly the online order a fresh
         clairvoyant run would see, so session state stays bit-identical to a
-        from-scratch simulation over the same prefix.  Only :meth:`submit`
-        enqueues, and only after :meth:`_validate_batch` vetted the batch,
-        so every queued job here is committable.
+        from-scratch simulation over the same prefix.  The shadow then drops
+        what only its completed jobs needed: no read goes back in time.
         """
-        while True:
-            try:
-                job = self.queue.get_nowait()
-            except asyncio.QueueEmpty:
-                return
+        for job in jobs:
             self.shadow.insert_job(job.job_id, job.release, job.density, job.volume)
             self.shadow.advance(job.release)
             self.jobs.append(job)
@@ -421,6 +413,7 @@ class Session:
                 volume=job.volume,
                 density=job.density,
             )
+        self.shadow.forget_completed()
 
     # -- queries --------------------------------------------------------------
 

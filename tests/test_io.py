@@ -6,6 +6,7 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import PowerLaw
 from repro.algorithms import (
@@ -14,6 +15,19 @@ from repro.algorithms import (
     to_integral_schedule,
 )
 from repro.core import evaluate
+from repro.core.errors import ScheduleError
+from repro.core.schedule import (
+    ConstantSegment,
+    DecaySegment,
+    GrowthSegment,
+    IdleSegment,
+    ScaledSegment,
+    Segment,
+    segment_from_dict,
+    segment_from_trace,
+    segment_to_dict,
+    trace_payload,
+)
 from repro.io import (
     dump_run,
     instance_from_dict,
@@ -75,8 +89,6 @@ class TestScheduleRoundTrip:
         )
 
     def test_unknown_kind_rejected(self):
-        from repro.core.errors import ScheduleError
-
         with pytest.raises(ScheduleError):
             schedule_from_dict({"segments": [{"kind": "warp", "t0": 0, "t1": 1, "job": 0}]})
 
@@ -101,3 +113,133 @@ class TestDumpLoad:
         assert evaluate(sched2, inst2, cube).fractional_objective == pytest.approx(
             evaluate(sched, three_jobs, cube).fractional_objective, rel=0
         )
+
+
+# -- the segment format: round trips and decoder fuzzing ---------------------
+
+_times = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
+_pos = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
+_alpha = st.floats(min_value=1.1, max_value=6.0, allow_nan=False)
+
+
+@st.composite
+def _windows(draw):
+    t0 = draw(_times)
+    return t0, t0 + draw(st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
+
+
+@st.composite
+def _base_segments(draw):
+    t0, t1 = draw(_windows())
+    job = draw(st.integers(min_value=0, max_value=50))
+    kind = draw(st.sampled_from(["idle", "constant", "idle-gap", "decay", "growth"]))
+    if kind == "idle":
+        return IdleSegment(t0, t1)
+    if kind == "idle-gap":  # the engine's speed-0 segment with no job
+        return ConstantSegment(t0, t1, None, 0.0)
+    if kind == "constant":
+        return ConstantSegment(t0, t1, job, draw(_pos))
+    cls = DecaySegment if kind == "decay" else GrowthSegment
+    return cls(t0, t1, job, draw(_pos), draw(_pos), draw(_alpha))
+
+
+@st.composite
+def _segments(draw):
+    seg = draw(_base_segments())
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        seg = ScaledSegment(seg.t0, seg.t1, seg.job_id, seg, draw(_pos))
+    return seg
+
+
+#: JSON values: what a parsed file, request body or trace line can hold.
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_fields = st.sampled_from(
+    ["kind", "profile", "t0", "t1", "job", "speed", "x0", "rho", "alpha", "factor", "base"]
+)
+_values = (
+    st.sampled_from(["idle", "constant", "decay", "growth", "scaled", "const", "warp"])
+    | st.floats(min_value=-1.0, max_value=5.0)
+    | st.integers(min_value=-1, max_value=5)
+    | _json
+)
+#: Objects keyed mostly by the format's own field names, nested via ``base``.
+_segment_like = st.recursive(
+    st.dictionaries(_fields | st.text(max_size=3), _values, max_size=9),
+    lambda inner: st.builds(
+        lambda d, b: {**d, "base": b}, st.dictionaries(_fields, _values), inner
+    ),
+    max_leaves=4,
+)
+
+
+class TestSegmentFormat:
+    @given(_segments())
+    @settings(max_examples=150, deadline=None)
+    def test_file_form_round_trips_every_kind(self, seg: Segment):
+        assert segment_from_dict(segment_to_dict(seg)) == seg
+        assert segment_from_dict(json.loads(json.dumps(segment_to_dict(seg)))) == seg
+
+    @given(_base_segments(), _pos, _alpha)
+    @settings(max_examples=100, deadline=None)
+    def test_trace_form_round_trips_every_profile(self, seg: Segment, rho, alpha):
+        if isinstance(seg, IdleSegment) or seg.job_id is None:
+            return  # the trace form only carries a job's pieces
+        if isinstance(seg, ConstantSegment):
+            payload = trace_payload("const", seg.t0, seg.t1, seg.job_id, seg.speed, rho, alpha)
+        else:
+            profile = "decay" if isinstance(seg, DecaySegment) else "growth"
+            payload = trace_payload(profile, seg.t0, seg.t1, seg.job_id, seg.x0, seg.rho, seg.alpha)
+        assert segment_from_trace(json.loads(json.dumps(payload))) == seg
+
+    @given(_segment_like | _json)
+    @settings(max_examples=400, deadline=None)
+    def test_file_decoder_returns_a_schedule_or_schedule_error(self, data):
+        for payload in (data, {"segments": [data]}, {"segments": data}):
+            try:
+                schedule_from_dict(payload)
+            except ScheduleError:
+                pass
+
+    @given(_segment_like | _json)
+    @settings(max_examples=400, deadline=None)
+    def test_trace_decoder_returns_a_segment_or_schedule_error(self, data):
+        try:
+            assert isinstance(segment_from_trace(data), Segment)
+        except ScheduleError:
+            pass
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({"kind": "decay", "t0": 0.0, "t1": 1.0, "job": 0, "rho": 1.0, "alpha": 3.0}, "'x0'"),
+            ({"kind": "constant", "t0": 0.0, "t1": 1.0, "job": 0, "speed": "1"}, "number"),
+            ({"kind": "constant", "t0": 0.0, "t1": 1.0, "job": 0.5, "speed": 1.0}, "integer"),
+            ({"kind": "scaled", "t0": 0.0, "t1": 1.0, "job": 0, "factor": 2.0}, "'base'"),
+            ({"kind": None, "t0": 0.0, "t1": 1.0, "job": 0}, "string"),
+            ({"kind": "idle", "t0": 10**400, "t1": 1.0, "job": None}, "'t0' must be a number"),
+        ],
+    )
+    def test_file_decoder_names_the_bad_field(self, data, message):
+        with pytest.raises(ScheduleError, match=message):
+            schedule_from_dict({"segments": [data]})
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            ({"profile": "const", "t1": 2.0, "job": 0, "speed": 1.0}, "'t0'"),
+            ({"profile": "const", "t0": 0.0, "t1": 2.0, "job": None, "speed": 1.0}, "integer"),
+            (
+                {"profile": "growth", "t0": 0.0, "t1": 1.0, "job": 0, "x0": 0.0, "rho": 1.0},
+                "'alpha'",
+            ),
+            ({"profile": "warp", "t0": 0.0, "t1": 1.0, "job": 0}, "unknown kernel profile"),
+        ],
+    )
+    def test_trace_decoder_names_the_bad_field(self, payload, message):
+        with pytest.raises(ScheduleError, match=message):
+            segment_from_trace(payload)

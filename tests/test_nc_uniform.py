@@ -12,17 +12,19 @@ The centrepieces are exact reproductions of:
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Instance, Job, PowerLaw
 from repro.algorithms.clairvoyant import simulate_clairvoyant
-from repro.algorithms.nc_uniform import NCUniformRunner, simulate_nc_uniform
+from repro.algorithms.nc_uniform import NCUniformPolicy, NCUniformRunner, simulate_nc_uniform
 from repro.analysis.curves import speed_quantile_gap
+from repro.core.engine import NumericEngine
 from repro.core.errors import InvalidInstanceError, SimulationError
 from repro.core.metrics import evaluate
 from repro.extensions import CappedPowerLaw
 from repro.offline.bounds import opt_fractional_lower_bound, opt_integral_lower_bound
+from repro.parallel.nc_par import simulate_nc_par
 
 from conftest import alphas, robust_alphas, uniform_instances
 
@@ -122,6 +124,49 @@ class TestLemma4FlowRatio:
         f_nc = evaluate(simulate_nc_uniform(three_jobs, power).schedule, three_jobs, power).fractional_flow
         f_c = evaluate(simulate_clairvoyant(three_jobs, power).schedule, three_jobs, power).fractional_flow
         assert f_nc == pytest.approx(f_c / (1 - 1 / alpha), rel=1e-12)
+
+
+@st.composite
+def _tied_instances(draw):
+    """Unit-density instances with releases on a coarse grid, so several
+    jobs share a release and FIFO breaks the ties by id."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    rel = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]), min_size=n, max_size=n))
+    vols = draw(
+        st.lists(st.floats(min_value=0.05, max_value=4.0, allow_nan=False), min_size=n, max_size=n)
+    )
+    ids = draw(st.permutations(range(n)))
+    return Instance(Job(ids[i], rel[i], vols[i]) for i in range(n))
+
+
+#: NC's energy was 6.4815 here, C's 8.1697, before tied jobs were revealed.
+_TIED = Instance([Job(0, 0.0, 1.0), Job(1, 0.0, 2.0), Job(2, 0.5, 1.0), Job(3, 0.5, 1.0)])
+
+
+class TestTiedReleases:
+    """A job tied in release with an earlier (smaller-id) job runs after it
+    under FIFO, so that job's weight belongs in the offset ``W^C(r[j]-)``."""
+
+    @given(_tied_instances(), st.sampled_from([1.5, 2.0, 2.5, 3.0]))
+    @example(_TIED, 3.0)
+    @settings(max_examples=80, deadline=None)
+    def test_lemmas_3_and_4_and_one_machine_nc_par(self, inst, alpha):
+        power = PowerLaw(alpha)
+        nc = evaluate(simulate_nc_uniform(inst, power).schedule, inst, power)
+        c = evaluate(simulate_clairvoyant(inst, power).schedule, inst, power)
+        assert nc.energy == pytest.approx(c.energy, rel=1e-9)
+        assert nc.fractional_flow == pytest.approx(c.fractional_flow / (1 - 1 / alpha), rel=1e-9)
+        par = simulate_nc_par(inst, power, 1)
+        one = evaluate(par.schedules[0], inst, power)
+        assert one.energy == nc.energy
+        assert one.completion_times == nc.completion_times
+
+    def test_policy_offsets_equal_the_runner_offsets(self, cube):
+        policy = NCUniformPolicy(cube)
+        NumericEngine(cube, max_step=1e-3).run(_TIED, policy)
+        runner = simulate_nc_uniform(_TIED, cube)
+        assert runner.offsets[1] == 1.0  # job 0's whole weight: C admits it at 0
+        assert policy._offsets == runner.offsets
 
 
 class TestLemma6SpeedProfiles:

@@ -38,6 +38,7 @@ pytest.importorskip("pydantic")
 from repro import io
 from repro.algorithms import ALGORITHMS, simulate_nc_uniform
 from repro.analysis.gantt import gantt_chart
+from repro.core.errors import SimulationError
 from repro.core.job import Instance, Job
 from repro.core.metrics import evaluate
 from repro.core.power import PowerLaw
@@ -335,6 +336,19 @@ def test_verified_report_replays_lemmas(client):
     assert all(c["holds"] for c in report["checks"])
     assert report["order_violations"] == []
     assert set(report["energies"]) == {"C", "NC"}
+
+
+def test_verified_report_holds_with_tied_arrivals(client):
+    client.post("/sessions", json_body={"session_id": "s"})
+    jobs = [(0, 0.0, 1.0), (1, 0.0, 2.0), (2, 0.5, 1.0), (3, 0.5, 1.0)]
+    resp = client.post(
+        "/sessions/s/jobs",
+        json_body={"jobs": [{"id": j, "release": r, "volume": v} for j, r, v in jobs]},
+    )
+    assert resp.status_code == 202
+    report = client.get("/sessions/s/report").json()
+    assert report["ok"] is True and len(report["checks"]) == 2
+    assert report["energies"]["NC"] == pytest.approx(report["energies"]["C"], rel=1e-12)
 
 
 def test_verified_report_needs_uniform_density(client):
@@ -728,6 +742,22 @@ def test_read_journal_survives_any_byte_damage(sink, data):
         except JournalCorruption:
             return
         assert all(isinstance(r, dict) for r in records)
+
+
+def test_session_shadow_forgets_completed_jobs():
+    async def drive():
+        session = await SessionManager().create_session(
+            SessionCreateRequest(session_id="s", alpha=ALPHA)
+        )
+        await session.submit([Job(0, 0.0, 1.0, 1.0), Job(1, 10.0, 1.0, 2.0)])
+        # Job 0 completed long before t = 10: the shadow keeps only job 1,
+        # and the session still knows job 0's id.
+        assert session.shadow.remaining_items() == [(1, 2.0, 1.0)]
+        assert set(session.shadow._rho) == {1}
+        with pytest.raises(SimulationError, match="already known"):
+            await session.submit([Job(0, 10.0, 1.0, 1.0)])
+
+    asyncio.run(drive())
 
 
 def test_restore_quarantines_a_non_utf8_journal(tmp_path):

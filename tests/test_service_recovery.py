@@ -221,7 +221,7 @@ def test_torn_journal_write_aborts_submit(tmp_path):
         await session.submit([Job(0, 0.0, 1.0, 1.0)])  # committed cleanly
         with pytest.raises(JournalWriteAborted):
             await session.submit([Job(1, 1.0, 1.0, 1.0)])
-        assert session.jobs_accepted == 1 and session.queue.qsize() == 0
+        assert session.jobs_accepted == 1 and len(session.jobs) == 1
         with pytest.raises(SessionClosed):  # failed closed, not half-alive
             await session.submit([Job(1, 1.0, 1.0, 1.0)])
 
@@ -621,7 +621,7 @@ def test_submit_racing_close_commits_nothing(tmp_path):
         with pytest.raises(SessionClosed):
             await submit_task
         assert session.jobs_accepted == 1
-        assert session.queue.qsize() == 0
+        assert len(session.jobs) == 1
 
     _run(scenario())
     records = read_journal(journal_path(tmp_path, "s"))

@@ -197,28 +197,6 @@ class TestDeltas:
         with pytest.raises(ValueError, match="density"):
             sh.insert_job(3, 0.0, 0.0, 1.0)
 
-    def test_grow_weight_pending_only(self):
-        sh = _shadow()
-        sh.insert_job(0, 0.0, 1.0, 1.0)
-        sh.insert_job(1, 2.0, 1.0, 0.5)
-        sh.grow_weight(1, 0.25)  # pending: fine
-        with pytest.raises(SimulationError, match="already admitted"):
-            sh.grow_weight(0, 0.1)
-        with pytest.raises(SimulationError, match="not known"):
-            sh.grow_weight(42, 0.1)
-        sh.advance(math.inf)
-        # The grown volume was what the run saw.
-        assert sh.remaining_dict() == {}
-        assert sh.clock == _completion_clock([Job(0, 0.0, 1.0, 1.0), Job(1, 2.0, 0.75, 1.0)])
-
-
-def _completion_clock(jobs: list[Job]) -> float:
-    sh = _shadow()
-    for j in jobs:
-        sh.insert_job(j.job_id, j.release, j.density, j.volume)
-    sh.advance(math.inf)
-    return sh.clock
-
 
 class TestEdgeCases:
     def test_simultaneous_releases_admitted_together(self):
