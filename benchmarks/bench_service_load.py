@@ -1,10 +1,13 @@
-"""Load-test the scheduling service through an in-process ASGI client.
+"""Load-test the scheduling service through the in-process client.
 
 Drives :func:`repro.service.create_app` with a representative request mix —
 streamed single-job arrivals, live speed queries, periodic full-schedule
-metrics, health probes — through :func:`repro.service.asgi.asgi_call` (no
-sockets, so the numbers measure the service stack itself: routing, pydantic
-validation, session locking, shadow advancement, serialization).
+metrics, health probes — through :func:`repro.service.asgi.call`, which
+hands each :class:`~repro.service.asgi.Request` straight to ``App.handle``
+(no sockets and no HTTP parsing, so the numbers measure the service stack
+itself: routing, pydantic validation, session locking, shadow advancement,
+serialization).  perfbench's ``service-stream`` workload measures the same
+stack behind a real ``repro serve`` socket.
 
 The claims pinned here:
 
@@ -18,8 +21,8 @@ The claims pinned here:
   measured mix is caught by the baseline diff.  ``errors`` must be zero.
 
 Sessions are rotated every ``JOBS_PER_SESSION`` arrivals so the metrics
-endpoint (which re-simulates the whole session instance) measures a bounded,
-representative session size instead of an ever-growing one.
+endpoint (whose serialized body grows with the session's job count) measures
+a bounded, representative session size instead of an ever-growing one.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ pytest.importorskip("pydantic")
 
 from repro.analysis import format_table  # noqa: E402
 from repro.service import create_app  # noqa: E402
-from repro.service.asgi import asgi_call  # noqa: E402
+from repro.service.asgi import call  # noqa: E402
 
 ALPHA = 3.0
 #: Arrivals per session before rotating to a fresh one.
@@ -73,7 +76,7 @@ async def _drive(n_requests: int, *, record: bool) -> dict:
     async def timed(kind: str, method: str, path: str, **kw) -> None:
         nonlocal errors
         t0 = time.perf_counter()
-        resp = await asgi_call(app, method, path, **kw)
+        resp = await call(app, method, path, **kw)
         dt_ms = (time.perf_counter() - t0) * 1e3
         if record:
             latencies[kind].append(dt_ms)
@@ -86,7 +89,7 @@ async def _drive(n_requests: int, *, record: bool) -> dict:
         if jobs_in_session >= JOBS_PER_SESSION:
             session_idx += 1
             session_id = f"load-{session_idx}"
-            resp = await asgi_call(
+            resp = await call(
                 app, "POST", "/sessions",
                 json_body={"session_id": session_id, "alpha": ALPHA, "algorithm": "NC"},
             )

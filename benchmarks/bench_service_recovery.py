@@ -37,7 +37,7 @@ pytest.importorskip("pydantic")
 from repro.analysis import format_table  # noqa: E402
 from repro.core.job import Job  # noqa: E402
 from repro.service.app import create_app  # noqa: E402
-from repro.service.asgi import asgi_call  # noqa: E402
+from repro.service.asgi import call  # noqa: E402
 from repro.service.models import SessionCreateRequest  # noqa: E402
 from repro.service.sessions import SessionManager  # noqa: E402
 
@@ -89,7 +89,7 @@ async def _drive_pair(tmp_path) -> dict:
     async def timed(arm: str, method: str, path: str, *, record, is_submit=False, **kw):
         nonlocal errors
         t0 = time.perf_counter()
-        resp = await asgi_call(apps[arm], method, path, **kw)
+        resp = await call(apps[arm], method, path, **kw)
         dt_ms = (time.perf_counter() - t0) * 1e3
         if resp.status_code >= 300:
             errors += 1
@@ -103,7 +103,7 @@ async def _drive_pair(tmp_path) -> dict:
         if jobs_in_session >= JOBS_PER_SESSION:
             session_idx += 1
             for arm, app in apps.items():
-                resp = await asgi_call(
+                resp = await call(
                     app, "POST", "/sessions",
                     json_body={
                         "session_id": f"bench-{session_idx}",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .core.errors import ScheduleError
+from .core.errors import InvalidInstanceError, ScheduleError
 from .core.job import Instance, Job
 from .core.metrics import CostReport
 from .core.schedule import Schedule, segment_from_dict, segment_to_dict
@@ -40,11 +40,30 @@ def instance_to_dict(instance: Instance) -> dict[str, Any]:
     }
 
 
-def instance_from_dict(data: dict[str, Any]) -> Instance:
-    return Instance(
-        Job(item["id"], item["release"], item["volume"], item.get("density", 1.0))
-        for item in data["jobs"]
-    )
+def instance_from_dict(data: Any) -> Instance:
+    """Decode :func:`instance_to_dict`'s form; a malformed payload raises
+    :class:`~repro.core.errors.InvalidInstanceError` naming the field."""
+    jobs = data.get("jobs") if isinstance(data, dict) else None
+    if not isinstance(jobs, list):
+        raise InvalidInstanceError("an instance must be an object with a 'jobs' list")
+    return Instance(_job_from_dict(i, item) for i, item in enumerate(jobs))
+
+
+def _job_from_dict(index: int, item: Any) -> Job:
+    if not isinstance(item, dict):
+        raise InvalidInstanceError(f"jobs[{index}] must be an object, got {type(item).__name__}")
+    fields = {"density": 1.0, **item}
+    for name in ("id", "release", "volume", "density"):
+        value = fields.get(name)
+        expected = (int,) if name == "id" else (int, float)
+        if not isinstance(value, expected) or isinstance(value, bool):
+            got = type(value).__name__ if name in fields else "nothing"
+            kind = "an integer" if name == "id" else "a number"
+            raise InvalidInstanceError(f"jobs[{index}] field {name!r} must be {kind}, got {got}")
+    try:
+        return Job(fields["id"], *(float(fields[n]) for n in ("release", "volume", "density")))
+    except OverflowError:
+        raise InvalidInstanceError(f"jobs[{index}] holds a number too large for a float") from None
 
 
 def schedule_to_dict(schedule: Schedule) -> dict[str, Any]:
@@ -97,8 +116,10 @@ def load_run(path: str) -> tuple[Instance, Schedule, dict[str, Any]]:
     """Read an (instance, schedule, meta) triple written by :func:`dump_run`."""
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise InvalidInstanceError(f"{path}: a run file must be a JSON object")
     return (
-        instance_from_dict(payload["instance"]),
-        schedule_from_dict(payload["schedule"]),
+        instance_from_dict(payload.get("instance")),
+        schedule_from_dict(payload.get("schedule")),
         payload.get("meta", {}),
     )

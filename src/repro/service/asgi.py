@@ -1,36 +1,39 @@
-"""A dependency-free ASGI micro-framework for :mod:`repro.service`.
+"""A dependency-free HTTP micro-framework for :mod:`repro.service`.
 
 The service layer is written FastAPI-style — typed pydantic request/response
 models, path-templated routes, JSON errors — but the HTTP plumbing underneath
-is this module, not FastAPI: ~200 lines of standard-library ASGI so the
-service runs anywhere the core package runs.  The app object produced by
-:func:`repro.service.app.create_app` is a *real* ASGI application: point
-uvicorn (or any ASGI server, both optional extras) at it for production
-serving, use the built-in :func:`serve` asyncio HTTP/1.1 server for
-dependency-free deployments and smoke tests, and drive it in-process with
-:class:`TestClient` / :func:`asgi_call` for tests and the load benchmark.
+is this module, not FastAPI: standard-library asyncio only, so the service
+runs anywhere the core package runs.
 
-Pieces:
+Every request reaches the routes one way: as a :class:`Request` passed to
+:meth:`App.handle`, which returns a :class:`Response`.  Three entry points
+build that request:
 
-* :class:`Request` / :class:`Response` — thin typed wrappers over the ASGI
-  ``http`` scope and response messages.
-* :class:`HTTPError` — raise anywhere in a handler to produce a JSON error
-  body with that status.
-* :class:`App` — method + path-template router (``/sessions/{session_id}``)
-  with startup/shutdown hooks wired to the ASGI ``lifespan`` protocol.
-* :func:`asgi_call` — one in-process request against any ASGI app; the
-  substrate of :class:`TestClient` and of ``benchmarks/bench_service_load``.
-* :func:`serve` — a minimal asyncio HTTP/1.1 server bridging sockets to the
-  ASGI interface (one request per connection, ``Connection: close``).
+* :func:`serve` — the built-in asyncio HTTP/1.1 server (one request per
+  connection, ``Connection: close``).  :func:`read_request` is its one
+  parser; malformed input, over-long lines included, is answered with a JSON
+  400 by the same writer that sends every other response.
+* :func:`call` — one in-process request, no sockets; the substrate of
+  :class:`TestClient` and of the in-process service benchmarks.
+* :meth:`App.__call__` — the ASGI adapter, so any ASGI server can host the
+  app (``uvicorn --factory repro.service:create_app``).  It is the only code
+  that reads or writes ASGI messages.
+
+Paths stay percent-encoded until :meth:`App._match` splits them on ``/``
+and decodes each segment exactly once, so a session id containing ``%``,
+``/``, spaces or non-ASCII text is reachable through every entry point.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import re
 from dataclasses import dataclass, field
+from functools import partialmethod
+from http import HTTPStatus
 from typing import Any, Awaitable, Callable
-from urllib.parse import parse_qsl, unquote
+from urllib.parse import parse_qsl, quote, unquote
 
 __all__ = [
     "ConnectionAborted",
@@ -38,29 +41,12 @@ __all__ = [
     "Request",
     "Response",
     "App",
-    "asgi_call",
+    "call",
     "ClientResponse",
     "TestClient",
+    "read_request",
     "serve",
 ]
-
-_STATUS_PHRASES = {
-    200: "OK",
-    201: "Created",
-    202: "Accepted",
-    204: "No Content",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    410: "Gone",
-    422: "Unprocessable Entity",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
-
 
 class ConnectionAborted(Exception):
     """Tear the connection down without completing the response.
@@ -68,7 +54,7 @@ class ConnectionAborted(Exception):
     The escape hatch the ``connection_drop`` service fault uses: unlike
     every other exception, :meth:`App.handle` re-raises it, the socket
     server answers with a torn partial response and closes, and
-    :func:`asgi_call` propagates it to the in-process caller.  Session state
+    :func:`call` propagates it to the in-process caller.  Session state
     is untouched — the request never reached (or never finished) its
     handler's commit point.
     """
@@ -89,10 +75,15 @@ class HTTPError(Exception):
         self.detail = detail
         self.headers = headers
 
+    def response(self) -> Response:
+        """The JSON error response this error stands for."""
+        return Response({"detail": self.detail}, status=self.status, headers=self.headers)
+
 
 @dataclass
 class Request:
-    """One parsed HTTP request, path parameters already bound."""
+    """One parsed HTTP request.  ``path`` is still percent-encoded;
+    ``path_params`` are bound (and decoded) by :meth:`App.handle`."""
 
     method: str
     path: str
@@ -151,8 +142,17 @@ class Response:
         self.content_type = "application/json"
         self.headers = dict(headers) if headers else {}
 
+    def header_fields(self) -> list[tuple[str, str]]:
+        """Every header of this response, names lower-case, in wire order."""
+        return [
+            ("content-type", self.content_type),
+            ("content-length", str(len(self.body))),
+            *((k.lower(), v) for k, v in self.headers.items()),
+        ]
+
 
 Handler = Callable[[Request], Awaitable[Response]]
+Message = dict[str, Any]
 
 
 def _split(path: str) -> tuple[str, ...]:
@@ -160,7 +160,7 @@ def _split(path: str) -> tuple[str, ...]:
 
 
 class App:
-    """Method + path-template router speaking ASGI ``http`` and ``lifespan``.
+    """Method + path-template router, also an ASGI ``http``/``lifespan`` app.
 
     Routes are registered with ``@app.route("GET", "/sessions/{session_id}")``;
     ``{name}`` segments bind into ``request.path_params``.  Handler errors map
@@ -201,7 +201,9 @@ class App:
     # -- routing --------------------------------------------------------------
 
     def _match(self, method: str, path: str) -> tuple[Handler, dict[str, str]]:
-        parts = _split(path)
+        # The one place a path is percent-decoded: per segment, after the
+        # split, so an encoded "/" stays inside its segment.
+        parts = tuple(unquote(p) for p in _split(path))
         path_found = False
         for route_method, pattern, handler in self._routes:
             if len(pattern) != len(parts):
@@ -209,7 +211,7 @@ class App:
             params: dict[str, str] = {}
             for pat, got in zip(pattern, parts):
                 if pat.startswith("{") and pat.endswith("}"):
-                    params[pat[1:-1]] = unquote(got)
+                    params[pat[1:-1]] = got
                 elif pat != got:
                     break
             else:
@@ -246,21 +248,27 @@ class App:
         except ConnectionAborted:
             raise  # the server layer tears the connection down
         except HTTPError as exc:
-            return Response({"detail": exc.detail}, status=exc.status, headers=exc.headers)
+            return exc.response()
         except Exception as exc:  # noqa: BLE001 — the service must not crash
-            if type(exc).__name__ == "ValidationError" and hasattr(exc, "errors"):
+            errors = getattr(exc, "errors", None)
+            if type(exc).__name__ == "ValidationError" and callable(errors):
                 detail = "; ".join(
                     f"{'.'.join(str(p) for p in e.get('loc', ()))}: {e.get('msg', '?')}"
-                    for e in exc.errors()
+                    for e in errors()
                 )
                 return Response({"detail": f"validation failed: {detail}"}, status=422)
             return Response(
                 {"detail": f"{type(exc).__name__}: {exc}"}, status=500
             )
 
-    # -- ASGI interface -------------------------------------------------------
+    # -- ASGI adapter ---------------------------------------------------------
 
-    async def __call__(self, scope: dict, receive: Callable, send: Callable) -> None:
+    async def __call__(
+        self,
+        scope: Message,
+        receive: Callable[[], Awaitable[Message]],
+        send: Callable[[Message], Awaitable[None]],
+    ) -> None:
         if scope["type"] == "lifespan":
             while True:
                 message = await receive()
@@ -278,9 +286,13 @@ class App:
                 body += message.get("body", b"")
                 if not message.get("more_body", False):
                     break
+            raw_path = scope.get("raw_path")
+            # ``path`` arrives decoded; re-encode it so that _match's decode
+            # is the only one (an encoded "/" is lost without ``raw_path``).
+            path = raw_path.decode("latin-1") if raw_path else quote(scope["path"])
             request = Request(
                 method=scope["method"].upper(),
-                path=scope["path"],
+                path=path,
                 query=dict(parse_qsl(scope.get("query_string", b"").decode("latin-1"))),
                 headers={
                     k.decode("latin-1").lower(): v.decode("latin-1")
@@ -289,19 +301,14 @@ class App:
                 body=body,
             )
             response = await self.handle(request)
-            headers = [
-                (b"content-type", response.content_type.encode("latin-1")),
-                (b"content-length", str(len(response.body)).encode("latin-1")),
-            ]
-            headers.extend(
-                (k.lower().encode("latin-1"), v.encode("latin-1"))
-                for k, v in response.headers.items()
-            )
             await send(
                 {
                     "type": "http.response.start",
                     "status": response.status,
-                    "headers": headers,
+                    "headers": [
+                        (k.encode("latin-1"), v.encode("latin-1"))
+                        for k, v in response.header_fields()
+                    ],
                 }
             )
             await send({"type": "http.response.body", "body": response.body})
@@ -314,7 +321,7 @@ class App:
 
 @dataclass
 class ClientResponse:
-    """What :func:`asgi_call` hands back for one request."""
+    """What :func:`call` hands back for one request."""
 
     status_code: int
     headers: dict[str, str]
@@ -324,8 +331,8 @@ class ClientResponse:
         return json.loads(self.body) if self.body else None
 
 
-async def asgi_call(
-    app: Callable,
+async def call(
+    app: App,
     method: str,
     path: str,
     *,
@@ -333,54 +340,17 @@ async def asgi_call(
     query: str = "",
     headers: dict[str, str] | None = None,
 ) -> ClientResponse:
-    """Run one request through ``app`` without sockets (the ASGI messages are
-    exchanged in-process).  This is the hot path of the load benchmark, so it
-    allocates as little as the protocol allows."""
-    body = b"" if json_body is None else json.dumps(json_body).encode("utf-8")
-    raw_headers = [(b"content-type", b"application/json")]
-    if headers:
-        raw_headers.extend(
-            (k.lower().encode("latin-1"), v.encode("latin-1"))
-            for k, v in headers.items()
-        )
-    scope = {
-        "type": "http",
-        "asgi": {"version": "3.0"},
-        "http_version": "1.1",
-        "method": method.upper(),
-        "path": path,
-        "raw_path": path.encode("latin-1"),
-        "query_string": query.encode("latin-1"),
-        "headers": raw_headers,
-    }
-    received = False
-
-    async def receive() -> dict:
-        nonlocal received
-        if received:
-            return {"type": "http.disconnect"}
-        received = True
-        return {"type": "http.request", "body": body, "more_body": False}
-
-    status = 500
-    headers: dict[str, str] = {}
-    chunks: list[bytes] = []
-
-    async def send(message: dict) -> None:
-        nonlocal status
-        if message["type"] == "http.response.start":
-            status = message["status"]
-            headers.update(
-                {
-                    k.decode("latin-1"): v.decode("latin-1")
-                    for k, v in message.get("headers", [])
-                }
-            )
-        elif message["type"] == "http.response.body":
-            chunks.append(message.get("body", b""))
-
-    await app(scope, receive, send)
-    return ClientResponse(status_code=status, headers=headers, body=b"".join(chunks))
+    """Run one request through ``app.handle`` without sockets.  ``path`` and
+    ``query`` are taken as sent on the wire (percent-encoded)."""
+    request = Request(
+        method=method.upper(),
+        path=path,
+        query=dict(parse_qsl(query)),
+        headers={k.lower(): v for k, v in (headers or {}).items()},
+        body=b"" if json_body is None else json.dumps(json_body).encode("utf-8"),
+    )
+    response = await app.handle(request)
+    return ClientResponse(response.status, dict(response.header_fields()), response.body)
 
 
 class TestClient:
@@ -389,7 +359,7 @@ class TestClient:
     One loop for the client's whole lifetime, so the app's asyncio state
     (locks, queues, background campaign tasks) stays on a single loop across
     requests — the same invariant a real server provides.  Use as a context
-    manager to get lifespan startup/shutdown.
+    manager to get startup/shutdown.
     """
 
     __test__ = False  # not a pytest test class despite the name
@@ -422,112 +392,112 @@ class TestClient:
         headers: dict[str, str] | None = None,
     ) -> ClientResponse:
         return self._loop.run_until_complete(
-            asgi_call(
-                self.app, method, path, json_body=json_body, query=query, headers=headers
-            )
+            call(self.app, method, path, json_body=json_body, query=query, headers=headers)
         )
 
-    def get(self, path: str, *, query: str = "") -> ClientResponse:
-        return self.request("GET", path, query=query)
-
-    def post(
-        self,
-        path: str,
-        *,
-        json_body: Any = None,
-        query: str = "",
-        headers: dict[str, str] | None = None,
-    ) -> ClientResponse:
-        return self.request("POST", path, json_body=json_body, query=query, headers=headers)
-
-    def delete(self, path: str) -> ClientResponse:
-        return self.request("DELETE", path)
+    get = partialmethod(request, "GET")
+    post = partialmethod(request, "POST")
+    delete = partialmethod(request, "DELETE")
 
 
 # -- minimal asyncio HTTP/1.1 server ------------------------------------------
 
+#: Distinct header names one request may carry; each line is bounded by the
+#: reader's line limit, so this bounds a request head's memory.
+_MAX_HEADERS = 100
+#: How long a connection whose request failed to parse drains the rest of
+#: its input before closing.
+_LINGER_S = 2.0
+_CONTENT_LENGTH = re.compile(r"[0-9]{1,9}")
+
+
+async def _read_line(reader: asyncio.StreamReader, what: str) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # readline's error for a line over the reader's limit
+        raise HTTPError(400, f"{what} too long: {exc}") from None
+
+
+async def read_request(reader: asyncio.StreamReader) -> Request | None:
+    """Read one HTTP/1.1 request (head and ``Content-Length`` body).
+
+    Returns ``None`` when the peer closed before sending a byte; malformed
+    input raises :class:`HTTPError` with status 400.
+    """
+    line = await _read_line(reader, "request line")
+    if not line:
+        return None
+    try:
+        method, target, _version = line.decode("latin-1").split(None, 2)
+    except ValueError:
+        raise HTTPError(400, f"malformed request line {line[:80]!r}") from None
+    headers: dict[str, str] = {}
+    while True:
+        line = await _read_line(reader, "header line")
+        if line in (b"\r\n", b"\n", b""):
+            break
+        name, colon, value = line.partition(b":")
+        if not colon:
+            raise HTTPError(400, f"malformed header line {line[:80]!r}")
+        if len(headers) == _MAX_HEADERS:
+            raise HTTPError(400, f"more than {_MAX_HEADERS} distinct headers")
+        headers[name.strip().decode("latin-1").lower()] = value.strip().decode("latin-1")
+    if "transfer-encoding" in headers:
+        raise HTTPError(400, "transfer-encoding is not supported; send content-length")
+    length = headers.get("content-length", "0")
+    if not _CONTENT_LENGTH.fullmatch(length):
+        raise HTTPError(400, f"invalid content-length {length[:80]!r}")
+    try:
+        body = await reader.readexactly(int(length))
+    except asyncio.IncompleteReadError as exc:
+        raise HTTPError(
+            400, f"body ended after {len(exc.partial)} of {length} bytes"
+        ) from None
+    path, _, query = target.partition("?")
+    return Request(method.upper(), path, dict(parse_qsl(query)), headers, body)
+
+
+def _encode(response: Response) -> bytes:
+    lines = [f"HTTP/1.1 {response.status} {HTTPStatus(response.status).phrase}"]
+    lines.extend(f"{k}: {v}" for k, v in response.header_fields())
+    lines.append("connection: close\r\n\r\n")
+    return "\r\n".join(lines).encode("latin-1") + response.body
+
+
+async def _discard(reader: asyncio.StreamReader) -> None:
+    while await reader.read(1 << 16):
+        pass
+
 
 async def _handle_connection(
-    app: Callable, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    app: App, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
 ) -> None:
     try:
-        request_line = await reader.readline()
-        if not request_line:
-            return
         try:
-            method, target, _version = request_line.decode("latin-1").split(None, 2)
-        except ValueError:
-            writer.write(b"HTTP/1.1 400 Bad Request\r\ncontent-length: 0\r\n\r\n")
-            await writer.drain()
+            request = await read_request(reader)
+        except HTTPError as exc:
+            # Part of the request may be unread.  Closing with unread input
+            # resets the connection, which can destroy the 400 before the
+            # client reads it, so half-close and drain the input first.
+            writer.write(_encode(exc.response()))
+            writer.write_eof()
+            await asyncio.wait_for(_discard(reader), _LINGER_S)
             return
-        headers: list[tuple[bytes, bytes]] = []
-        content_length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.partition(b":")
-            name = name.strip().lower()
-            value = value.strip()
-            headers.append((name, value))
-            if name == b"content-length":
-                try:
-                    content_length = int(value)
-                    if content_length < 0:
-                        raise ValueError(value)
-                except ValueError:
-                    writer.write(b"HTTP/1.1 400 Bad Request\r\ncontent-length: 0\r\n\r\n")
-                    await writer.drain()
-                    return
-        body = await reader.readexactly(content_length) if content_length else b""
-        path, _, query = target.partition("?")
-        scope = {
-            "type": "http",
-            "asgi": {"version": "3.0"},
-            "http_version": "1.1",
-            "method": method.upper(),
-            "path": unquote(path),
-            "raw_path": path.encode("latin-1"),
-            "query_string": query.encode("latin-1"),
-            "headers": headers,
-        }
-        received = False
-
-        async def receive() -> dict:
-            nonlocal received
-            if received:
-                return {"type": "http.disconnect"}
-            received = True
-            return {"type": "http.request", "body": body, "more_body": False}
-
-        async def send(message: dict) -> None:
-            if message["type"] == "http.response.start":
-                status = message["status"]
-                phrase = _STATUS_PHRASES.get(status, "Unknown")
-                head = [f"HTTP/1.1 {status} {phrase}".encode("latin-1")]
-                for k, v in message.get("headers", []):
-                    head.append(k + b": " + v)
-                head.append(b"connection: close")
-                writer.write(b"\r\n".join(head) + b"\r\n\r\n")
-            elif message["type"] == "http.response.body":
-                writer.write(message.get("body", b""))
-                if not message.get("more_body", False):
-                    await writer.drain()
-
-        try:
-            await app(scope, receive, send)
-        except ConnectionAborted:
-            # The connection_drop fault: tear the response off mid-status-line
-            # so the client sees a truncated response, then close abruptly.
-            writer.write(b"HTTP/1.1 ")
-            await writer.drain()
-    except (asyncio.IncompleteReadError, ConnectionResetError):  # pragma: no cover
+        if request is not None:
+            try:
+                writer.write(_encode(await app.handle(request)))
+            except ConnectionAborted:
+                # The connection_drop fault: tear the response off mid-status-
+                # line so the client sees a truncated response, then close.
+                writer.write(b"HTTP/1.1 ")
+        await writer.drain()
+    except (ConnectionError, asyncio.TimeoutError):  # pragma: no cover — peer gone or stalled
         pass
     finally:
         try:
             writer.close()
             await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
+        except ConnectionError:  # pragma: no cover
             pass
 
 
@@ -555,7 +525,7 @@ async def serve(
     ``submit`` commits (or fails) completely, never half-journaled.
     """
     await app.startup()
-    connections: set[asyncio.Task] = set()
+    connections: set[asyncio.Task[Any]] = set()
 
     async def _connection(r: asyncio.StreamReader, w: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()

@@ -108,7 +108,7 @@ def register_routes(app: App, manager: SessionManager) -> None:
         except SessionGone as exc:
             raise HTTPError(410, str(exc)) from exc
         except KeyError as exc:
-            raise HTTPError(404, str(exc)) from exc
+            raise HTTPError(404, exc.args[0]) from exc
 
     # -- service meta ---------------------------------------------------------
 
@@ -157,7 +157,7 @@ def register_routes(app: App, manager: SessionManager) -> None:
         except StoreFull as exc:
             raise HTTPError(503, str(exc)) from exc
         except KeyError as exc:
-            raise HTTPError(409, str(exc)) from exc
+            raise HTTPError(409, exc.args[0]) from exc
         except (SimulationError, InvalidInstanceError) as exc:
             raise HTTPError(409, str(exc)) from exc
         return Response(_session_info(session), status=201)
@@ -184,7 +184,7 @@ def register_routes(app: App, manager: SessionManager) -> None:
         except SessionGone as exc:
             raise HTTPError(410, str(exc)) from exc
         except KeyError as exc:
-            raise HTTPError(404, str(exc)) from exc
+            raise HTTPError(404, exc.args[0]) from exc
         return Response(_session_info(session))
 
     @app.route("POST", "/sessions/{session_id}/jobs")
@@ -317,7 +317,7 @@ def register_routes(app: App, manager: SessionManager) -> None:
         try:
             campaign = await manager.launch_campaign(spec)
         except KeyError as exc:
-            raise HTTPError(409, str(exc)) from exc
+            raise HTTPError(409, exc.args[0]) from exc
         return Response(_campaign_status(campaign), status=202)
 
     @app.route("GET", "/campaigns/{campaign_id}")
@@ -327,7 +327,7 @@ def register_routes(app: App, manager: SessionManager) -> None:
         except CampaignPruned as exc:
             return Response({"detail": str(exc), "final": exc.summary}, status=410)
         except KeyError as exc:
-            raise HTTPError(404, str(exc)) from exc
+            raise HTTPError(404, exc.args[0]) from exc
         return Response(_campaign_status(campaign))
 
     @app.route("GET", "/campaigns")

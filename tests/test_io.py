@@ -15,7 +15,8 @@ from repro.algorithms import (
     to_integral_schedule,
 )
 from repro.core import evaluate
-from repro.core.errors import ScheduleError
+from repro.core.errors import InvalidInstanceError, ScheduleError
+from repro.core.job import Instance
 from repro.core.schedule import (
     ConstantSegment,
     DecaySegment,
@@ -243,3 +244,53 @@ class TestSegmentFormat:
     def test_trace_decoder_names_the_bad_field(self, payload, message):
         with pytest.raises(ScheduleError, match=message):
             segment_from_trace(payload)
+
+
+_job_like = st.dictionaries(
+    st.sampled_from(["id", "release", "volume", "density"]) | st.text(max_size=3),
+    st.floats(min_value=-1.0, max_value=5.0) | st.integers(min_value=-1, max_value=5) | _json,
+    max_size=5,
+)
+
+
+class TestInstanceFormat:
+    @given(_job_like | _json)
+    @settings(max_examples=400, deadline=None)
+    def test_decoder_returns_an_instance_or_invalid_instance_error(self, data):
+        for payload in (data, {"jobs": [data]}, {"jobs": data}):
+            try:
+                assert isinstance(instance_from_dict(payload), Instance)
+            except InvalidInstanceError:
+                pass
+
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            ({}, "'jobs' list"),
+            ({"jobs": 3}, "'jobs' list"),
+            ({"jobs": []}, "at least one job"),
+            ({"jobs": [3]}, r"jobs\[0\] must be an object"),
+            ({"jobs": [{}]}, r"jobs\[0\] field 'id' must be an integer, got nothing"),
+            ({"jobs": [{"id": 0, "release": "1", "volume": 1.0}]}, "'release' must be a number"),
+            ({"jobs": [{"id": 0, "release": 0.0, "volume": True}]}, "'volume' must be a number"),
+            ({"jobs": [{"id": 0, "release": 0.0, "volume": 1.0, "density": None}]}, "'density'"),
+            ({"jobs": [{"id": 1.0, "release": 0.0, "volume": 1.0}]}, "'id' must be an integer"),
+            ({"jobs": [{"id": 0, "release": 10**400, "volume": 1.0}]}, "too large for a float"),
+            ({"jobs": [{"id": 0, "release": -1.0, "volume": 1.0}]}, "release must be finite"),
+        ],
+    )
+    def test_decoder_names_the_bad_field(self, data, message):
+        with pytest.raises(InvalidInstanceError, match=message):
+            instance_from_dict(data)
+
+    def test_load_run_raises_the_typed_errors(self, cube, three_jobs, tmp_path):
+        path = tmp_path / "run.json"
+        dump_run(str(path), three_jobs, simulate_nc_uniform(three_jobs, cube).schedule)
+        payload = json.loads(path.read_text())
+        del payload["instance"]["jobs"][1]["volume"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidInstanceError, match=r"jobs\[1\] field 'volume' .* got nothing"):
+            load_run(str(path))
+        path.write_text("[]")
+        with pytest.raises(InvalidInstanceError, match="JSON object"):
+            load_run(str(path))

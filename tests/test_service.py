@@ -16,11 +16,15 @@ The load-bearing claims:
 * **Graceful shutdown** flushes per-session trace sinks (on DELETE and on
   service shutdown), and the dependency-free socket server serves the same
   app over real HTTP.
+* **One request path**: the socket server, the in-process client and the
+  ASGI adapter reach the same session ids (each path segment decoded once),
+  and the socket parser answers any malformed input with a JSON 400.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import socket
 import tempfile
@@ -28,6 +32,7 @@ import threading
 import time
 import urllib.request
 from pathlib import Path
+from urllib.parse import quote, unquote
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +50,7 @@ from repro.core.power import PowerLaw
 from repro.core.shadow import SimulationContext
 from repro.core.tracing import iter_trace
 from repro.service import TestClient, create_app, serve
+from repro.service.asgi import HTTPError, call, read_request
 from repro.service.journal import JournalCorruption, SessionJournal, journal_path, read_journal
 from repro.service.models import ReportModel, ScheduleModel, SessionCreateRequest
 from repro.service.sessions import SessionManager
@@ -96,15 +102,18 @@ def test_session_lifecycle(client):
     assert [s["session_id"] for s in listed] == ["s1"]
 
     # Duplicate id conflicts; minted ids don't.
-    assert client.post("/sessions", json_body={"session_id": "s1"}).status_code == 409
+    dup = client.post("/sessions", json_body={"session_id": "s1"})
+    assert (dup.status_code, dup.json()) == (409, {"detail": "session 's1' already exists"})
     minted = client.post("/sessions", json_body={})
     assert minted.status_code == 201
     assert minted.json()["session_id"]
 
     gone = client.delete("/sessions/s1")
     assert gone.status_code == 200 and gone.json()["closed"]
-    assert client.get("/sessions/s1").status_code == 404
-    assert client.delete("/sessions/s1").status_code == 404
+    missing = client.get("/sessions/s1")
+    assert (missing.status_code, missing.json()) == (404, {"detail": "no session 's1'"})
+    again = client.delete("/sessions/s1")
+    assert (again.status_code, again.json()) == (404, {"detail": "no session 's1'"})
 
 
 def test_validation_and_routing_errors(client):
@@ -460,10 +469,10 @@ def _http(method: str, url: str, payload=None):
         return exc.code, json.loads(exc.read() or b"null")
 
 
-def test_socket_server_serves_the_app(tmp_path):
+@contextlib.contextmanager
+def _serving(app):
+    """Run ``serve(app)`` on a free port in a thread; yield its base URL."""
     port = _free_port()
-    trace = tmp_path / "served.jsonl"
-    app = create_app()
     loop = asyncio.new_event_loop()
     ready = asyncio.Event()
     stop = asyncio.Event()
@@ -481,9 +490,31 @@ def test_socket_server_serves_the_app(tmp_path):
     while not ready.is_set() and time.time() < deadline:
         time.sleep(0.01)
     assert ready.is_set(), "server never came up"
-    base = f"http://127.0.0.1:{port}"
-
     try:
+        yield f"http://127.0.0.1:{port}"
+    finally:
+        loop.call_soon_threadsafe(stop.set)
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def _raw_exchange(base: str, request: bytes) -> tuple[bytes, dict]:
+    """Send ``request`` as is and half-close; return the response head and
+    its JSON body."""
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as raw:
+        raw.sendall(request)
+        raw.shutdown(socket.SHUT_WR)
+        chunks = []
+        while chunk := raw.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return head, json.loads(body)
+
+
+def test_socket_server_serves_the_app(tmp_path):
+    trace = tmp_path / "served.jsonl"
+    with _serving(create_app()) as base:
         status, body = _http("GET", f"{base}/health")
         assert status == 200 and body["status"] == "ok"
         status, body = _http(
@@ -500,20 +531,252 @@ def test_socket_server_serves_the_app(tmp_path):
         assert status == 200 and body["speed"] > 0
         status, body = _http("GET", f"{base}/sessions/missing")
         assert status == 404
-        # A malformed Content-Length gets a 400, not a dropped connection.
-        with socket.create_connection(("127.0.0.1", port), timeout=10) as raw:
-            raw.sendall(b"GET /health HTTP/1.1\r\ncontent-length: nope\r\n\r\n")
-            assert raw.recv(1024).startswith(b"HTTP/1.1 400")
-        with socket.create_connection(("127.0.0.1", port), timeout=10) as raw:
-            raw.sendall(b"GET /health HTTP/1.1\r\ncontent-length: -5\r\n\r\n")
-            assert raw.recv(1024).startswith(b"HTTP/1.1 400")
-    finally:
-        loop.call_soon_threadsafe(stop.set)
-        thread.join(timeout=10)
-    assert not thread.is_alive()
     # serve()'s shutdown path flushed the session sink.
     kinds = [e.kind for e in iter_trace([trace])]
     assert "arrival" in kinds and kinds[-1] == "session_close"
+
+
+@pytest.mark.parametrize(
+    "request_bytes,detail",
+    [
+        (b"GET /health HTTP/1.1\r\ncontent-length: nope\r\n\r\n", "invalid content-length"),
+        (b"GET /health HTTP/1.1\r\ncontent-length: -5\r\n\r\n", "invalid content-length"),
+        (b"GET /health HTTP/1.1\r\ncontent-length: 9\r\n\r\n{}", "body ended after 2 of 9"),
+        (b"GARBAGE\r\n\r\n", "malformed request line"),
+        (b"GET /health HTTP/1.1\r\nno-colon\r\n\r\n", "malformed header line"),
+        (b"GET /" + b"a" * 200_000 + b" HTTP/1.1\r\n\r\n", "request line too long"),
+        (b"GET /health HTTP/1.1\r\nx: " + b"a" * 70_000 + b"\r\n\r\n", "header line too long"),
+        (
+            b"GET /health HTTP/1.1\r\n" + b"".join(b"h%d: x\r\n" % i for i in range(101)) + b"\r\n",
+            "more than 100 distinct headers",
+        ),
+        (b"POST /sessions HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n", "transfer-encoding"),
+    ],
+    ids=["length-word", "length-negative", "short-body", "request-line", "header-line",
+         "long-request-line", "long-header-line", "many-headers", "chunked"],
+)
+def test_socket_server_answers_malformed_requests_with_json_400(request_bytes, detail):
+    """Every parse error, over-long lines included, gets a JSON 400 through the
+    same writer as any response -- never an empty reply."""
+    with _serving(create_app()) as base:
+        head, body = _raw_exchange(base, request_bytes)
+    assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+    assert b"\r\nconnection: close" in head
+    assert detail in body["detail"]
+
+
+def test_socket_server_reaches_every_session_id():
+    """The socket server decodes each path segment exactly once, as the
+    in-process client does: ids with '%', '/', spaces or non-ASCII text
+    answer 200 over a real socket too."""
+    with _serving(create_app()) as base:
+        for sid in ("a%41", "x/y", "a b", "\u00e9"):
+            status, body = _http("POST", f"{base}/sessions", {"session_id": sid})
+            assert (status, body["session_id"]) == (201, sid)
+            status, body = _http("GET", f"{base}/sessions/{quote(sid, safe='')}")
+            assert (status, body["session_id"]) == (200, sid)
+            status, body = _http("DELETE", f"{base}/sessions/{quote(sid, safe='')}")
+            assert (status, body["session_id"]) == (200, sid)
+
+
+# -- the one request parser, the ASGI adapter, path decoding -------------------
+
+
+def _encode_request(method, target, headers, body):
+    lines = [f"{method} {target} HTTP/1.1", *(f"{k}: {v}" for k, v in headers.items())]
+    if body:
+        lines.append(f"content-length: {len(body)}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+def _request_or_400(data: bytes, limit: int):
+    """``read_request`` over a reader fed ``data`` then EOF: a request (None
+    only for no bytes at all) or a 4xx ``HTTPError``; a hang fails."""
+
+    async def parse():
+        reader = asyncio.StreamReader(limit=limit)
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await asyncio.wait_for(read_request(reader), 5.0)
+
+    try:
+        request = asyncio.run(parse())
+    except HTTPError as exc:
+        assert 400 <= exc.status < 500
+        assert json.loads(exc.response().body) == {"detail": exc.detail}
+        return None
+    assert (request is None) == (data == b"")
+    return request
+
+
+_token = st.text(
+    st.characters(min_codepoint=33, max_codepoint=126, exclude_characters=":"),
+    min_size=1,
+    max_size=12,
+)
+_valid_requests = st.tuples(
+    st.sampled_from(["GET", "POST", "DELETE", "get"]),
+    st.lists(st.text(min_size=1, max_size=10), max_size=4).map(
+        lambda parts: "/" + "/".join(quote(p, safe="") for p in parts)
+    ),
+    st.dictionaries(
+        _token.map(str.lower).filter(lambda k: k not in ("content-length", "transfer-encoding")),
+        _token,
+        max_size=4,
+    ),
+    st.binary(max_size=40),
+)
+_limits = st.sampled_from([16, 64, 1 << 16])
+
+
+class TestReadRequest:
+    @given(_valid_requests, _limits)
+    @settings(max_examples=200, deadline=None)
+    def test_valid_requests_parse_exactly(self, parts, limit):
+        method, path, headers, body = parts
+        data = _encode_request(method, f"{path}?k=v%20w", headers, body)
+        request = _request_or_400(data, limit)
+        if request is None:  # a line longer than the reader's limit
+            assert max(len(line) for line in data.split(b"\n")) >= limit
+            return
+        assert (request.method, request.path, request.body) == (method.upper(), path, body)
+        assert request.query == {"k": "v w"}
+        request.headers.pop("content-length", None)
+        assert request.headers == headers
+
+    @given(_valid_requests, _limits, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_requests_give_a_request_or_a_400(self, parts, limit, data):
+        raw = bytearray(_encode_request(*parts))
+        for _ in range(data.draw(st.integers(1, 4))):
+            pos = data.draw(st.integers(0, len(raw)))
+            op = data.draw(st.sampled_from(["insert", "delete", "replace", "truncate"]))
+            chunk = data.draw(
+                st.binary(min_size=1, max_size=8)
+                | st.sampled_from([b"\r\n", b"\n", b":", b" ", b"?", b"%", b"-1", b"99"])
+            )
+            if op == "insert":
+                raw[pos:pos] = chunk
+            elif op == "delete":
+                del raw[pos : pos + len(chunk)]
+            elif op == "replace":
+                raw[pos : pos + len(chunk)] = chunk
+            else:
+                del raw[pos:]
+        _request_or_400(bytes(raw), limit)
+
+    @given(st.binary(max_size=300), _limits)
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_bytes_give_a_request_or_a_400(self, data, limit):
+        _request_or_400(data, limit)
+
+
+async def _asgi_http(app, method, raw_path, *, json_body=None, with_raw_path=True):
+    """One request through the ASGI adapter, its body in two chunks; returns
+    (status, headers, body bytes)."""
+    scope = {
+        "type": "http",
+        "method": method,
+        "path": unquote(raw_path),
+        "query_string": b"",
+        "headers": [(b"content-type", b"application/json")],
+    }
+    if with_raw_path:
+        scope["raw_path"] = raw_path.encode("ascii")
+    body = b"" if json_body is None else json.dumps(json_body).encode()
+    incoming = [
+        {"type": "http.request", "body": body[:1], "more_body": True},
+        {"type": "http.request", "body": body[1:], "more_body": False},
+    ]
+    sent = []
+
+    async def receive():
+        return incoming.pop(0)
+
+    async def send(message):
+        sent.append(message)
+
+    await app(scope, receive, send)
+    start, end = sent
+    assert start["type"] == "http.response.start" and end["type"] == "http.response.body"
+    headers = {k.decode(): v.decode() for k, v in start["headers"]}
+    return start["status"], headers, end["body"]
+
+
+def test_asgi_adapter_serves_http_between_lifespan_events(tmp_path):
+    trace = tmp_path / "asgi.jsonl"
+    app = create_app()
+
+    async def scenario():
+        inbox: asyncio.Queue = asyncio.Queue()
+        sent = []
+
+        async def send(message):
+            sent.append(message["type"])
+
+        lifespan = asyncio.ensure_future(app({"type": "lifespan"}, inbox.get, send))
+        await inbox.put({"type": "lifespan.startup"})
+        while not sent:
+            await asyncio.sleep(0)
+        assert sent == ["lifespan.startup.complete"]
+
+        body = {"session_id": "a%41", "trace_path": str(trace)}
+        assert (await _asgi_http(app, "POST", "/sessions", json_body=body))[0] == 201
+        status, headers, raw = await _asgi_http(app, "GET", "/sessions/a%2541")
+        assert (status, json.loads(raw)["session_id"]) == (200, "a%41")
+        assert headers == {"content-type": "application/json", "content-length": str(len(raw))}
+        # Without raw_path the adapter re-encodes the decoded path: same bytes,
+        # and the same as the in-process client's.
+        assert await _asgi_http(app, "GET", "/sessions/a%2541", with_raw_path=False) == (
+            status, headers, raw
+        )
+        in_process = await call(app, "GET", "/sessions/a%2541")
+        assert (in_process.status_code, in_process.headers, in_process.body) == (
+            status, headers, raw
+        )
+
+        body = {"session_id": "x/y"}
+        assert (await _asgi_http(app, "POST", "/sessions", json_body=body))[0] == 201
+        status, _, raw = await _asgi_http(app, "GET", "/sessions/x%2Fy")
+        assert (status, json.loads(raw)["session_id"]) == (200, "x/y")
+        # An encoded "/" is lost in a decoded path, so it needs raw_path.
+        assert (await _asgi_http(app, "GET", "/sessions/x%2Fy", with_raw_path=False))[0] == 404
+
+        status, _, raw = await _asgi_http(app, "GET", "/sessions/nope")
+        assert (status, json.loads(raw)) == (404, {"detail": "no session 'nope'"})
+
+        await inbox.put({"type": "lifespan.shutdown"})
+        await lifespan
+        assert sent == ["lifespan.startup.complete", "lifespan.shutdown.complete"]
+
+    asyncio.run(scenario())
+    # The lifespan shutdown closed the open session and flushed its sink.
+    assert [e.kind for e in iter_trace([trace])][-1] == "session_close"
+
+
+@given(st.text(min_size=1, max_size=128))
+@settings(max_examples=60, deadline=None)
+def test_every_session_id_is_reachable(sid):
+    """Any id a session can be created with answers at its quoted path,
+    through the in-process client and through the ASGI adapter."""
+    path = "/sessions/" + quote(sid, safe="")
+    with TestClient(create_app()) as client:
+        assert client.post("/sessions", json_body={"session_id": sid}).status_code == 201
+        resp = client.get(path)
+        assert (resp.status_code, resp.json()["session_id"]) == (200, sid)
+
+    async def over_asgi():
+        app = create_app()
+        created = await _asgi_http(app, "POST", "/sessions", json_body={"session_id": sid})
+        reads = [await _asgi_http(app, "GET", path)]
+        if "/" not in sid:
+            reads.append(await _asgi_http(app, "GET", path, with_raw_path=False))
+        return created, reads
+
+    created, reads = asyncio.run(over_asgi())
+    assert created[0] == 201
+    for status, _, body in reads:
+        assert (status, json.loads(body)["session_id"]) == (200, sid)
 
 
 # -- incremental NC reads -------------------------------------------------------
