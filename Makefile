@@ -78,7 +78,7 @@ lint:
 
 typecheck:
 	@if command -v mypy >/dev/null 2>&1; then \
-		MYPYPATH=src mypy --strict -p repro.core -p repro.faults -p repro.runtime -p repro.parallel -m repro.algorithms.registry -m repro.analysis.streaming -m repro.io -m repro.service.asgi; \
+		MYPYPATH=src mypy --strict -p repro.core -p repro.faults -p repro.runtime -p repro.parallel -m repro.algorithms.registry -m repro.analysis.streaming -m repro.io -m repro.service.asgi -m repro.service.journal; \
 	else echo "mypy not installed; skipping (CI runs it)"; fi
 
 # Branch coverage over src/repro with the CI floor (requires pytest-cov).

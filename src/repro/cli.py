@@ -556,9 +556,10 @@ def _cmd_shard(args: argparse.Namespace) -> tuple[str, int]:
         if recorder is not None:
             recorder.close()
     if args.trace:
-        from .parallel.shard import verify_shard_trace
+        from .analysis.trace_report import build_report
+        from .core.tracing import iter_trace
 
-        trace_report = verify_shard_trace(args.trace)
+        trace_report = build_report(iter_trace(args.trace))
         trace_ok = trace_report.ok
         checks = ", ".join(
             f"{'PASS' if c.holds else 'FAIL'} {c.name}" for c in trace_report.checks

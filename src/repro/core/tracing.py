@@ -19,13 +19,16 @@ this module can.  It provides:
   buffer) and :class:`JsonlRecorder` (one JSON object per line, streamed to
   a pluggable :class:`TraceSink`).
 * :class:`TraceSink` — where serialized events land.  :class:`FileSink`
-  writes one plain JSONL file, :class:`GzipSink` a gzip-compressed one, and
-  :class:`RotatingSink` a sequence of bounded segments.  Rotated segments
-  are **self-contained**: the most recent ``run_meta`` header is replayed at
-  the top of every new segment (flagged ``segment_header`` in its payload),
-  so any single segment can be analyzed without its siblings, and
-  :func:`iter_trace` reconstructs the original stream by skipping the
-  replayed headers.
+  writes one plain or gzip JSONL file, :class:`RotatingSink` a sequence of
+  bounded segments.  Rotated segments are **self-contained**: the most
+  recent ``run_meta`` header is replayed at the top of every new segment
+  (flagged ``segment_header`` in its payload), so any single segment can be
+  analyzed without its siblings, and :func:`iter_trace` reconstructs the
+  original stream by skipping the replayed headers.
+* :func:`iter_lines` — the one reader of line files, traces and service
+  journals alike: one gzip detection, one torn-tail rule.
+* :func:`seal` / :func:`unseal` — the checksum envelope of session journals
+  and shard checkpoints; :func:`corrupt_line` is the damage their faults write.
 * :class:`MetricsRegistry` — a named-counter store.
   :class:`~repro.core.shadow.ShadowCounters` is a *view* over one of these,
   so ad-hoc counter ints and trace events share a single metrics substrate.
@@ -37,10 +40,10 @@ Durability contract
 exit from its context manager — including exception exits — so a run that
 dies mid-simulation leaves every fully emitted event on disk.  A process
 killed outright (SIGKILL mid-shard) can still tear the *final* line; the
-readers (:func:`iter_jsonl`, :func:`read_jsonl`, :func:`follow_jsonl`)
-therefore tolerate one trailing partial line (and a truncated gzip stream),
-yielding every complete event and dropping the torn tail — a truncated
-trace is parseable, never poison.
+readers therefore drop the final line of a stream when it is not complete
+JSON (and stop cleanly at a truncated gzip stream), yielding every complete
+event before it — a truncated trace is parseable, never poison.  Damage
+anywhere else, a damaged deflate stream included, raises ``ValueError``.
 
 Zero-overhead-when-off contract
 -------------------------------
@@ -71,20 +74,25 @@ checkpoint).  ``tests/test_tracing.py`` enforces this.
 
 from __future__ import annotations
 
+import functools
 import gzip
+import hashlib
 import json
 import time
+import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    IO,
     Any,
+    BinaryIO,
     Callable,
     Iterable,
     Iterator,
     Protocol,
     Sequence,
-    TextIO,
+    TypeVar,
     runtime_checkable,
 )
 
@@ -98,15 +106,20 @@ __all__ = [
     "JsonlRecorder",
     "TraceSink",
     "FileSink",
-    "GzipSink",
     "RotatingSink",
     "make_sink",
     "rotated_paths",
+    "segment_base",
     "MetricsRegistry",
+    "iter_lines",
     "read_jsonl",
     "iter_jsonl",
     "iter_trace",
     "follow_jsonl",
+    "SealError",
+    "seal",
+    "unseal",
+    "corrupt_line",
 ]
 
 #: The closed set of event kinds.  ``run_meta`` is the self-description header
@@ -195,13 +208,16 @@ class TraceEvent:
     @classmethod
     def from_json(cls, line: str) -> "TraceEvent":
         raw = json.loads(line)
-        return cls(
-            kind=raw["kind"],
-            sim_time=float(raw["sim_time"]),
-            wall_time=float(raw["wall_time"]),
-            component=raw["component"],
-            payload=dict(raw.get("payload", {})),
-        )
+        try:
+            return cls(
+                kind=raw["kind"],
+                sim_time=float(raw["sim_time"]),
+                wall_time=float(raw["wall_time"]),
+                component=raw["component"],
+                payload=dict(raw.get("payload", {})),
+            )
+        except (KeyError, TypeError, OverflowError) as err:
+            raise ValueError(f"not a trace event ({err!r})") from None
 
 
 @runtime_checkable
@@ -314,11 +330,13 @@ class TraceSink(Protocol):
 
 
 class FileSink:
-    """One plain JSONL file."""
+    """One JSONL file, opened as ``opener(path, "wt", encoding="utf-8")``:
+    :func:`open`, or a gzip opener from :func:`make_sink`.  The readers detect
+    gzip from the magic bytes, so a ``.gz`` suffix is cosmetic."""
 
-    def __init__(self, path: str | Path) -> None:
+    def __init__(self, path: str | Path, opener: Callable[..., Any] = open) -> None:
         self.path = Path(path)
-        self._fh: TextIO | None = self.path.open("w", encoding="utf-8")
+        self._fh: IO[str] | None = opener(self.path, "wt", encoding="utf-8")
 
     def write(self, kind: str, line: str) -> None:
         if self._fh is None:
@@ -339,36 +357,18 @@ class FileSink:
         return (self.path,)
 
 
-class GzipSink:
-    """One gzip-compressed JSONL file (``*.jsonl.gz`` by convention).
+def _segment_path(base: Path, index: int) -> Path:
+    return base.with_name(f"{base.stem}.{index:05d}{base.suffix}")
 
-    The readers autodetect compression from the gzip magic bytes, so the
-    suffix is cosmetic; the path is used exactly as given.
-    """
 
-    def __init__(self, path: str | Path, *, compresslevel: int = 6) -> None:
-        self.path = Path(path)
-        self._fh: TextIO | None = gzip.open(  # type: ignore[assignment]
-            self.path, "wt", encoding="utf-8", compresslevel=compresslevel
-        )
-
-    def write(self, kind: str, line: str) -> None:
-        if self._fh is None:
-            raise ValueError(f"GzipSink({self.path}) is closed")
-        self._fh.write(line + "\n")
-
-    def flush(self) -> None:
-        if self._fh is not None:
-            self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    @property
-    def paths(self) -> tuple[Path, ...]:
-        return (self.path,)
+def segment_base(path: str | Path) -> Path:
+    """The base path a :class:`RotatingSink` segment was named after
+    (``t.00003.jsonl`` -> ``t.jsonl``); ``path`` itself when it is no segment."""
+    path = Path(path)
+    stem, dot, index = path.stem.rpartition(".")
+    if dot and len(index) == 5 and index.isascii() and index.isdigit():
+        return path.with_name(stem + path.suffix)
+    return path
 
 
 class RotatingSink:
@@ -389,50 +389,42 @@ class RotatingSink:
             raise ValueError(f"max_events must be >= 1, got {max_events}")
         self.base = Path(path)
         self.max_events = max_events
-        self._segment = -1
         self._count = 0
-        self._fh: TextIO | None = None
+        self._file: FileSink | None = None
         self._paths: list[Path] = []
         self._header: dict[str, Any] | None = None
-        self._closed = False
         self._open_next()
 
-    def _segment_path(self, index: int) -> Path:
-        return self.base.with_name(f"{self.base.stem}.{index:05d}{self.base.suffix}")
-
     def _open_next(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-        self._segment += 1
-        path = self._segment_path(self._segment)
-        self._fh = path.open("w", encoding="utf-8")
-        self._paths.append(path)
+        if self._file is not None:
+            self._file.close()
+        self._file = FileSink(_segment_path(self.base, len(self._paths)))
+        self._paths.append(self._file.path)
         self._count = 0
-        if self._segment > 0 and self._header is not None:
+        if len(self._paths) > 1 and self._header is not None:
             replay = dict(self._header)
             replay["payload"] = {**dict(replay.get("payload", {})), "segment_header": True}
-            self._fh.write(json.dumps(replay, sort_keys=True) + "\n")
+            self._file.write("run_meta", json.dumps(replay, sort_keys=True))
             self._count = 1
 
     def write(self, kind: str, line: str) -> None:
-        if self._closed or self._fh is None:
+        if self._file is None:
             raise ValueError(f"RotatingSink({self.base}) is closed")
         if kind == "run_meta":
             self._header = json.loads(line)
         if self._count >= self.max_events:
             self._open_next()
-        self._fh.write(line + "\n")
+        self._file.write(kind, line)
         self._count += 1
 
     def flush(self) -> None:
-        if self._fh is not None:
-            self._fh.flush()
+        if self._file is not None:
+            self._file.flush()
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-        self._closed = True
+        if self._file is not None:
+            self._file.close()
+            self._file = None
 
     @property
     def paths(self) -> tuple[Path, ...]:
@@ -444,7 +436,7 @@ def make_sink(path: str | Path, spec: str) -> TraceSink:
     if spec == "plain":
         return FileSink(path)
     if spec == "gzip":
-        return GzipSink(path)
+        return FileSink(path, functools.partial(gzip.open, compresslevel=6))
     if spec.startswith("rotate:"):
         try:
             max_events = int(spec.split(":", 1)[1])
@@ -529,46 +521,79 @@ class JsonlRecorder:
 
 _GZIP_MAGIC = b"\x1f\x8b"
 
+T = TypeVar("T")
 
-def _open_trace(path: Path) -> TextIO:
+
+def _open_lines(path: Path) -> gzip.GzipFile | BinaryIO:
+    """``path`` opened for binary line reads, gunzipped if it is gzip."""
     with path.open("rb") as probe:
         magic = probe.read(2)
-    if magic == _GZIP_MAGIC:
-        fh: TextIO = gzip.open(path, "rt", encoding="utf-8")  # type: ignore[assignment]
-        return fh
-    return path.open("r", encoding="utf-8")
+    return gzip.open(path, "rb") if magic == _GZIP_MAGIC else path.open("rb")
+
+
+def _torn(line: bytes) -> bool:
+    """Whether ``line`` is no complete JSON text — what a write cut short leaves."""
+    try:
+        json.loads(line.decode("utf-8"))
+    except ValueError:
+        return True
+    return False
+
+
+def _parsed(
+    held: tuple[Path, int, bytes],
+    parse: Callable[[str], T],
+    what: str,
+    error: type[ValueError],
+) -> tuple[Path, int, T]:
+    path, number, line = held
+    try:
+        return path, number, parse(line.decode("utf-8"))
+    except ValueError as err:
+        torn = f"malformed {what} line away from the tail (not a trailing tear)"
+        raise error(f"{path} line {number}: {torn if _torn(line) else err}") from err
+
+
+def iter_lines(
+    paths: Sequence[Path],
+    parse: Callable[[str], T],
+    *,
+    what: str = "trace",
+    error: type[ValueError] = ValueError,
+) -> Iterator[tuple[Path, int, T]]:
+    """Parse ``paths``, plain or gzip (by magic bytes), as one stream of
+    ``(path, line number, parse(line))``; ``parse`` raises ``ValueError``.
+
+    The torn-tail rule: only the *final* line of the *final* file may be
+    dropped, when it is no complete JSON text (a writer killed mid-line), and
+    a truncated gzip stream ends only the final file.  Any other bad line or
+    a damaged gzip stream raises ``error`` naming the file and line.  One
+    line of lookahead finds the final line, so nothing is buffered.
+    """
+    held: tuple[Path, int, bytes] | None = None
+    for k, path in enumerate(paths):
+        with _open_lines(path) as source:
+            try:
+                for number, line in enumerate(source, 1):
+                    line = line.strip()
+                    if line:
+                        if held is not None:
+                            yield _parsed(held, parse, what, error)
+                        held = (path, number, line)
+            except EOFError:  # a gzip member cut short: the writer was killed
+                if k < len(paths) - 1:
+                    raise error(f"{path}: truncated gzip stream (not a trailing tear)") from None
+            except (gzip.BadGzipFile, zlib.error) as err:
+                raise error(f"{path}: damaged gzip stream ({err})") from err
+    if held is not None and not _torn(held[2]):
+        yield _parsed(held, parse, what, error)
 
 
 def iter_jsonl(path: str | Path) -> Iterator[TraceEvent]:
-    """Stream a trace file (plain or gzip) one :class:`TraceEvent` at a time.
-
-    Tolerates exactly one torn *trailing* line (a process killed mid-write)
-    and a truncated gzip stream — every complete event before the tear is
-    yielded, the tear itself is dropped.  A malformed line *followed by more
-    data* is corruption, not truncation, and raises ``ValueError``.
-    """
-    path = Path(path)
-    with _open_trace(path) as fh:
-        pending_error: Exception | None = None
-        try:
-            for line in fh:
-                if pending_error is not None:
-                    raise ValueError(
-                        f"corrupt trace line in {path} (not a trailing tear)"
-                    ) from pending_error
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    event = TraceEvent.from_json(stripped)
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
-                    pending_error = err
-                    continue
-                yield event
-        except (EOFError, gzip.BadGzipFile):
-            # Truncated gzip stream: a SIGKILLed writer never finished the
-            # member. Everything decoded so far is intact; stop cleanly.
-            return
+    """Stream a trace file (plain or gzip) one :class:`TraceEvent` at a time;
+    :func:`iter_lines` drops a torn tail and raises ``ValueError`` on damage."""
+    for _, _, event in iter_lines([Path(path)], TraceEvent.from_json):
+        yield event
 
 
 def read_jsonl(path: str | Path) -> list[TraceEvent]:
@@ -582,18 +607,18 @@ def iter_trace(paths: Sequence[str | Path] | str | Path) -> Iterator[TraceEvent]
     Replayed segment headers (``run_meta`` events flagged
     ``segment_header``) are skipped, so the reconstructed stream is exactly
     the stream that was emitted — a report built over rotated segments is
-    identical to one built over a single file.
+    identical to one built over a single file.  Only the final line of the
+    final segment may be a dropped tear (:func:`iter_lines`).
     """
-    seq: Sequence[str | Path]
-    if isinstance(paths, (str, Path)):
-        seq = [paths]
-    else:
-        seq = paths
-    for i, path in enumerate(seq):
-        for event in iter_jsonl(path):
-            if i > 0 and event.kind == "run_meta" and event.payload.get("segment_header"):
-                continue
-            yield event
+    seq = [Path(paths)] if isinstance(paths, (str, Path)) else [Path(p) for p in paths]
+    for path, _, event in iter_lines(seq, TraceEvent.from_json):
+        if (
+            event.kind == "run_meta"
+            and event.payload.get("segment_header")
+            and path != seq[0]
+        ):
+            continue
+        yield event
 
 
 def follow_jsonl(
@@ -611,40 +636,100 @@ def follow_jsonl(
     created the file — the wait for it to appear counts against the same
     idle budget.  A partial line at the current end of file is buffered
     until its newline arrives — or dropped at stop time, matching the
-    torn-tail tolerance of :func:`iter_jsonl`.
+    torn-tail rule of :func:`iter_lines`; a complete line is decoded and
+    judged exactly as that reader judges it.
     """
     path = Path(path)
-    buf = ""
     idle = 0.0
-    while not path.exists():
-        if stop is not None and stop():
-            return
-        if idle_timeout is not None and idle >= idle_timeout:
-            return
+
+    def waited() -> bool:
+        """Sleep one poll interval, or False once the tail should end."""
+        nonlocal idle
+        if (stop is not None and stop()) or (
+            idle_timeout is not None and idle >= idle_timeout
+        ):
+            return False
         time.sleep(poll_interval)
         idle += poll_interval
+        return True
+
+    while not path.exists():
+        if not waited():
+            return
     idle = 0.0
-    with path.open("r", encoding="utf-8") as fh:
+    buf, number = b"", 0
+    with path.open("rb") as fh:
         while True:
             chunk = fh.read(65536)
-            if chunk:
-                idle = 0.0
-                buf += chunk
-                while True:
-                    newline = buf.find("\n")
-                    if newline < 0:
-                        break
-                    line = buf[:newline].strip()
-                    buf = buf[newline + 1 :]
-                    if line:
-                        yield TraceEvent.from_json(line)
+            if not chunk:
+                if not waited():
+                    return
                 continue
-            if stop is not None and stop():
-                return
-            if idle_timeout is not None and idle >= idle_timeout:
-                return
-            time.sleep(poll_interval)
-            idle += poll_interval
+            idle = 0.0
+            *lines, buf = (buf + chunk).split(b"\n")
+            for number, line in enumerate(lines, number + 1):
+                if line.strip():
+                    held = (path, number, line.strip())
+                    yield _parsed(held, TraceEvent.from_json, "trace", ValueError)[2]
+
+
+# -- checksum envelope --------------------------------------------------------
+
+
+class SealError(ValueError):
+    """Text that is no checksum envelope, or whose body fails its checksum."""
+
+
+def seal(record: dict[str, Any]) -> str:
+    """One line ``{"body": <canonical JSON>, "checksum": <SHA-256 of body>}``.
+
+    Canonical (``sort_keys``, compact separators) so a record always gives
+    the same bytes: a restored journal is byte-identical to what it replayed.
+    """
+    body = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return json.dumps(
+        {"body": body, "checksum": checksum}, sort_keys=True, separators=(",", ":")
+    )
+
+
+def unseal(text: str) -> dict[str, Any]:
+    """The record sealed in ``text`` (canonical or not: the checksum is of
+    the body as stored); :class:`SealError` for anything else."""
+    try:
+        envelope = json.loads(text)
+    except ValueError as err:
+        raise SealError(f"not JSON ({err})") from None
+    body, checksum = (
+        (envelope.get("body"), envelope.get("checksum"))
+        if isinstance(envelope, dict)
+        else (None, None)
+    )
+    if not (isinstance(body, str) and isinstance(checksum, str)):
+        raise SealError("not a checksum envelope")
+    # A damaged escape can decode to a lone surrogate; it then fails the
+    # checksum rather than the encoding.
+    digest = hashlib.sha256(body.encode("utf-8", "surrogatepass")).hexdigest()
+    if digest != checksum:
+        raise SealError(
+            f"checksum mismatch (expected {checksum[:12]}…, got {digest[:12]}…)"
+        )
+    try:
+        record = json.loads(body)
+    except ValueError:
+        record = None
+    if not isinstance(record, dict):
+        raise SealError("checksummed body is not a JSON object")
+    return record
+
+
+def corrupt_line(line: str) -> str:
+    """Flip the middle character of a sealed line: bit rot *after* the
+    checksum was taken, the damage the ``journal_corruption`` and
+    ``checkpoint_corruption`` faults write.  :func:`unseal` rejects it."""
+    mid = len(line) // 2
+    flipped = "X" if line[mid] != "X" else "Y"
+    return line[:mid] + flipped + line[mid + 1 :]
 
 
 class MetricsRegistry:

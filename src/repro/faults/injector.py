@@ -36,6 +36,7 @@ from ..core.job import Instance, Job
 from ..core.oracle import VolumeOracle
 from ..core.power import PowerLaw
 from ..core.shadow import SimulationContext
+from ..core.tracing import corrupt_line
 from .plan import INSTANCE_KINDS, FaultPlan, FaultSpec
 
 __all__ = [
@@ -265,7 +266,7 @@ class FaultInjector:
         interior corruption on the next read and quarantined).  Budgets are
         shared with every other channel.
         """
-        from ..service.journal import JournalWriteAborted, corrupt_line
+        from ..service.journal import JournalWriteAborted
 
         calls = {"n": 0}
 

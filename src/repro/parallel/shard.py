@@ -24,8 +24,9 @@ plus exact cost evaluation with validation — shards cleanly:
    report is bit-identical to the serial one, not merely close.
 
 Durable per-shard checkpoints (:class:`ShardCheckpointStore`) let an
-interrupted campaign resume instead of recompute: results are stored as
-canonical JSON plus a SHA-256 checksum, and a corrupted checkpoint (the
+interrupted campaign resume instead of recompute: results are stored in the
+checksum envelope of :func:`~repro.core.tracing.seal` (canonical JSON plus
+its SHA-256), and a corrupted checkpoint (the
 ``checkpoint_corruption`` fault kind writes one deliberately) is detected on
 load, discarded, and recomputed — never trusted.
 
@@ -45,20 +46,19 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from ..core.errors import InvalidInstanceError
 from ..core.job import Instance, Job
 from ..core.metrics import CostReport, evaluate
 from ..core.power import PowerLaw
 from ..core.shadow import SimulationContext, uncapped_alpha
+from ..core.tracing import corrupt_line, seal, unseal
 from .c_par import simulate_c_par
 from .cluster import ClusterRun
 from .nc_par import simulate_nc_par
 
 if TYPE_CHECKING:
-    from ..analysis.trace_report import TraceReport
-    from ..core.tracing import TraceEvent
     from ..faults.injector import FaultInjector
     from ..runtime.pool import PoolPolicy, PoolStats
 
@@ -69,7 +69,6 @@ __all__ = [
     "plan_shards",
     "compute_shard",
     "run_sharded",
-    "verify_shard_trace",
 ]
 
 Family = Callable[[Instance, PowerLaw, int, SimulationContext | None], ClusterRun]
@@ -240,9 +239,10 @@ class ShardCheckpointStore:
     without one run resuming another's shards.  ``load`` verifies the
     checksum and *discards* (deletes) any mismatching file — a corrupted
     checkpoint costs a recompute, never a wrong number.  The
-    ``checkpoint_corruption`` fault kind is realised in ``save``: the body
-    is damaged after the checksum is taken, exactly the torn-write failure
-    the checksum exists to catch.
+    ``checkpoint_corruption`` fault kind is realised in ``save``: the sealed
+    text is damaged after the checksum is taken
+    (:func:`~repro.core.tracing.corrupt_line`), exactly the torn-write
+    failure the checksum exists to catch.
     """
 
     def __init__(
@@ -289,23 +289,15 @@ class ShardCheckpointStore:
             )
 
     def save(self, run_key: str, shard_id: int, result: dict[str, Any]) -> Path:
-        body = json.dumps(result, sort_keys=True)
-        checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        text = seal(result)
         if self.injector is not None and self.injector.armed_specs("checkpoint_corruption"):
             self._saves += 1
             spec = self.injector.armed_specs("checkpoint_corruption")[0]
             if self._saves >= max(spec.after_calls, 1):
-                self.injector.fire_external(
-                    "checkpoint_corruption", 0.0, shard=shard_id
-                )
-                # Torn write: flip a character inside the body after the
-                # checksum was taken.
-                mid = len(body) // 2
-                body = body[:mid] + ("0" if body[mid] != "0" else "1") + body[mid + 1 :]
+                self.injector.fire_external("checkpoint_corruption", 0.0, shard=shard_id)
+                text = corrupt_line(text)  # a torn write after the checksum
         path = self._path(run_key, shard_id)
-        path.write_text(
-            json.dumps({"checksum": checksum, "body": body}), encoding="utf-8"
-        )
+        path.write_text(text, encoding="utf-8")
         self._emit("save", shard_id, path=str(path))
         return path
 
@@ -314,14 +306,8 @@ class ShardCheckpointStore:
         if not path.exists():
             return None
         try:
-            wrapper = json.loads(path.read_text(encoding="utf-8"))
-            body = wrapper["body"]
-            ok = hashlib.sha256(body.encode("utf-8")).hexdigest() == wrapper["checksum"]
-            result: dict[str, Any] | None = json.loads(body) if ok else None
-        except (json.JSONDecodeError, KeyError, TypeError, UnicodeDecodeError):
-            result = None
-        if result is None:
-            # Checksum or structure mismatch: the file lies; remove it.
+            result = unseal(path.read_text(encoding="utf-8"))
+        except ValueError:  # not UTF-8, or no intact envelope: the file lies
             path.unlink(missing_ok=True)
             self._emit("corrupt_discard", shard_id, path=str(path))
             return None
@@ -437,28 +423,3 @@ def _default_shards(cluster: ClusterRun, policy: "PoolPolicy | None") -> int:
     loaded = sum(1 for jobs in cluster.assignments.values() if jobs)
     workers = policy.workers if policy is not None else 2
     return max(1, min(loaded, workers * 2))
-
-
-def verify_shard_trace(
-    source: "str | Path | Iterable[TraceEvent]", *, rel_tol: float = 1e-9
-) -> "TraceReport":
-    """Re-verify a sharded run's written trace in one bounded-memory pass.
-
-    ``source`` is a trace path (plain JSONL, gzip, or a sequence of rotated
-    segments via a path-to-first-segment's siblings) or any event iterable —
-    typically the JSONL a supervised sharded run recorded, including its
-    ``worker_lost`` / ``shard_redispatch`` lifecycle events and the traced
-    single-machine (C, NC) pair.  The Lemma 3/4 replay, ordering contract
-    and per-component stats come back as a
-    :class:`~repro.analysis.trace_report.TraceReport` built by the streaming
-    aggregators, so campaign-scale traces verify without materializing the
-    event list.
-    """
-    from ..analysis.trace_report import build_report
-    from ..core.tracing import iter_trace
-
-    if isinstance(source, (str, Path)):
-        events: Iterable[TraceEvent] = iter_trace(source)
-    else:
-        events = source
-    return build_report(events, rel_tol=rel_tol)

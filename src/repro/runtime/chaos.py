@@ -53,7 +53,14 @@ from ..analysis.trace_report import REL_TOL, TraceReport, build_report, trace_le
 from ..core.errors import ReproError, ScheduleError
 from ..core.job import Instance
 from ..core.shadow import SimulationContext
-from ..core.tracing import MemoryRecorder, TraceEvent, TraceSink, iter_trace, make_sink
+from ..core.tracing import (
+    MemoryRecorder,
+    TraceEvent,
+    TraceSink,
+    corrupt_line,
+    iter_trace,
+    make_sink,
+)
 from ..extensions.bounded_speed import CappedPowerLaw
 from ..algorithms.clairvoyant import simulate_clairvoyant
 from ..algorithms.registry import ALGORITHMS, DEFAULT_MAX_STEP
@@ -1040,8 +1047,6 @@ def _scenario_kill(
             faults += 1
         elif scenario == "corruption":
             lines = jpath.read_text(encoding="utf-8").splitlines()
-            from ..service.journal import corrupt_line
-
             lines[0] = corrupt_line(lines[0])  # interior: more lines follow
             jpath.write_text("\n".join(lines) + "\n", encoding="utf-8")
             recorder.emit(

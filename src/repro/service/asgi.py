@@ -165,7 +165,8 @@ class App:
     Routes are registered with ``@app.route("GET", "/sessions/{session_id}")``;
     ``{name}`` segments bind into ``request.path_params``.  Handler errors map
     to JSON bodies: :class:`HTTPError` keeps its status, pydantic validation
-    errors become 422, anything else a 500 with the exception text.
+    errors become 422, anything else a 500 with the exception text (an
+    ``OSError``'s reason only, never the server path it names).
 
     ``request_timeout`` is the per-request deadline: a handler (plus the
     ``gates``) exceeding it is **cancelled cleanly** — ``asyncio.wait_for``
@@ -257,9 +258,8 @@ class App:
                     for e in errors()
                 )
                 return Response({"detail": f"validation failed: {detail}"}, status=422)
-            return Response(
-                {"detail": f"{type(exc).__name__}: {exc}"}, status=500
-            )
+            reason = (exc.strerror or "I/O error") if isinstance(exc, OSError) else exc
+            return Response({"detail": f"{type(exc).__name__}: {reason}"}, status=500)
 
     # -- ASGI adapter ---------------------------------------------------------
 

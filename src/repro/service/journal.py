@@ -8,36 +8,38 @@ arrivals, replay them through the normal :class:`~repro.service.sessions.
 Session` drive, and the recovered session is **bit-identical** to one that
 never crashed.
 
-Format: one record per line, each line a canonical-JSON envelope
+Format: one record per line, each the checksum envelope of
+:func:`~repro.core.tracing.seal` (shard checkpoints store it too), so any
+post-write corruption is detected on read.  Records carry a monotonically
+increasing ``seq`` so a missing or reordered line is also detected.  Lines
+land in any :class:`~repro.core.tracing.TraceSink` (``plain | gzip |
+rotate:N``), flushed after every append: a record is durable *before*
+``submit`` acknowledges.
 
-``{"body": "<canonical JSON of the record>", "checksum": "<sha256(body)>"}``
-
-mirroring :class:`~repro.parallel.shard.ShardCheckpointStore` — the checksum
-is taken over the exact serialized body, so any post-write corruption is
-detected on read.  Records carry a monotonically increasing ``seq`` so a
-missing or reordered line is also detected.  Lines land in any
-:class:`~repro.core.tracing.TraceSink` (``plain | gzip | rotate:N``), flushed
-after every append: a record is durable *before* ``submit`` acknowledges.
-
-Read semantics mirror :func:`~repro.core.tracing.iter_jsonl`: exactly one
-torn *trailing* line (a process SIGKILLed mid-write) is dropped — that write
-was never acknowledged, so dropping it is correct, not lossy — while a
-malformed or checksum-mismatching line *followed by more data* is interior
-corruption and raises :class:`JournalCorruption`; recovery quarantines such
-a journal instead of silently restoring a wrong session.
+Journals are read by the line reader of traces,
+:func:`~repro.core.tracing.iter_lines`: a torn final line (a process
+SIGKILLed mid-write) is dropped — that write was never acknowledged, so
+dropping it is correct, not lossy — while a malformed line anywhere else, or
+any line failing its checksum, is corruption and raises
+:class:`JournalCorruption`; recovery quarantines such a journal instead of
+silently restoring a wrong session.
 """
 
 from __future__ import annotations
 
-import gzip
-import hashlib
-import json
-import zlib
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 from urllib.parse import quote, unquote
 
-from ..core.tracing import TraceSink, make_sink
+from ..core.tracing import (
+    TraceSink,
+    iter_lines,
+    make_sink,
+    rotated_paths,
+    seal,
+    segment_base,
+    unseal,
+)
 
 __all__ = [
     "JOURNAL_SUFFIX",
@@ -47,10 +49,9 @@ __all__ = [
     "JournalWriteAborted",
     "SessionJournal",
     "journal_path",
+    "check_session_id",
     "discover_journals",
     "read_journal",
-    "encode_record",
-    "corrupt_line",
 ]
 
 #: Every journal file ends with this suffix; the stem is the URL-quoted
@@ -90,32 +91,29 @@ class JournalWriteAborted(RuntimeError):
         self.partial = partial
 
 
+#: The longest suffix a journal file name gets: a rotated segment's.
+_LONGEST_SUFFIX = ".journal.00000.jsonl"
+
+#: The longest file name, in bytes, that common file systems accept.
+NAME_MAX = 255
+
+
 def journal_path(directory: str | Path, session_id: str) -> Path:
     """The canonical journal path for ``session_id`` under ``directory``."""
     return Path(directory) / f"{quote(session_id, safe='')}{JOURNAL_SUFFIX}"
 
 
-def encode_record(record: dict[str, Any]) -> str:
-    """One journal line: canonical-JSON body + its SHA-256, envelope sorted.
-
-    Canonical means ``sort_keys`` + compact separators, so the same record
-    always produces the same bytes — what makes a restore's re-journaled
-    file byte-identical to the committed prefix it replayed.
-    """
-    body = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return json.dumps(
-        {"body": body, "checksum": checksum}, sort_keys=True, separators=(",", ":")
-    )
-
-
-def corrupt_line(line: str) -> str:
-    """Flip one character inside the body *after* the checksum was taken —
-    the same post-checksum bit-rot :class:`ShardCheckpointStore`'s
-    ``checkpoint_corruption`` fault models."""
-    mid = len(line) // 2
-    flipped = "X" if line[mid] != "X" else "Y"
-    return line[:mid] + flipped + line[mid + 1 :]
+def check_session_id(session_id: str) -> str:
+    """``session_id`` unchanged if every journal file name it maps to fits
+    in :data:`NAME_MAX` bytes; ``ValueError`` otherwise."""
+    limit = NAME_MAX - len(_LONGEST_SUFFIX)
+    size = len(quote(session_id, safe=""))  # percent-quoting leaves ASCII
+    if size > limit:
+        raise ValueError(
+            f"session id is {size} bytes percent-encoded; at most {limit} fit "
+            f"a {NAME_MAX}-byte journal file name"
+        )
+    return session_id
 
 
 class SessionJournal:
@@ -147,7 +145,7 @@ class SessionJournal:
             raise JournalError(f"unknown journal record kind {kind!r}")
         if self._sink is None:
             raise JournalError(f"journal {self.path} is closed")
-        line = encode_record({**record, "seq": self.seq})
+        line = seal({**record, "seq": self.seq})
         if self.line_filter is not None:
             try:
                 line = self.line_filter(self.seq, line)
@@ -176,80 +174,25 @@ class SessionJournal:
 
 # -- readers ------------------------------------------------------------------
 
-_GZIP_MAGIC = b"\x1f\x8b"
-
-
-def _iter_lines(path: Path) -> Iterator[bytes]:
-    """Raw journal lines as bytes, tolerating a truncated gzip stream
-    (SIGKILLed writer) the same way :func:`~repro.core.tracing.iter_jsonl`
-    does.  Decoding is left to :func:`read_journal`, so a byte that is not
-    UTF-8 is judged by the torn-tail rule like any other damage."""
-    with path.open("rb") as probe:
-        magic = probe.read(2)
-    fh = gzip.open(path, "rb") if magic == _GZIP_MAGIC else path.open("rb")
-    with fh:
-        try:
-            for line in fh:
-                stripped = line.strip()
-                if stripped:
-                    yield stripped
-        except (EOFError, gzip.BadGzipFile):
-            return
-        except zlib.error as err:  # a damaged deflate stream, not a cut one
-            raise JournalCorruption(f"{path}: damaged gzip stream ({err})") from err
-
 
 def read_journal(paths: Sequence[str | Path] | str | Path) -> list[dict[str, Any]]:
     """Decode a journal back into its records, verifying every line.
 
-    Accepts one path or a sequence of rotated segments (in order).  Exactly
-    one malformed *final* line — bad JSON or bytes that are not UTF-8 — is
-    dropped as a torn tail; a malformed line, checksum mismatch, or ``seq``
-    gap anywhere else raises :class:`JournalCorruption` naming the offending
-    line.
+    Accepts one path or a sequence of rotated segments (in order).  A torn
+    final line — not UTF-8, or not complete JSON — is dropped; a malformed
+    line anywhere else, a checksum mismatch, an unknown record kind or a
+    ``seq`` gap raises :class:`JournalCorruption` naming the offending line.
     """
-    seq: Sequence[str | Path] = (
-        [paths] if isinstance(paths, (str, Path)) else list(paths)
-    )
-    lines: list[tuple[Path, bytes]] = []
-    for p in seq:
-        p = Path(p)
-        lines.extend((p, line) for line in _iter_lines(p))
+    seq = [Path(paths)] if isinstance(paths, (str, Path)) else [Path(p) for p in paths]
     records: list[dict[str, Any]] = []
-    for i, (path, line) in enumerate(lines):
-        is_last = i == len(lines) - 1
-        try:
-            envelope = json.loads(line.decode("utf-8"))
-        except ValueError:  # UnicodeDecodeError or JSONDecodeError
-            if is_last:
-                break  # torn tail: the write was never acked; drop it
+    for path, number, record in iter_lines(
+        seq, unseal, what="journal", error=JournalCorruption
+    ):
+        if record.get("record") not in RECORD_KINDS:
+            raise JournalCorruption(f"{path} line {number}: unknown record kind")
+        if record.get("seq") != len(records):
             raise JournalCorruption(
-                f"{path} line {i}: malformed journal line away from the tail"
-            ) from None
-        if (
-            not isinstance(envelope, dict)
-            or not isinstance(envelope.get("body"), str)
-            or not isinstance(envelope.get("checksum"), str)
-        ):
-            raise JournalCorruption(f"{path} line {i}: not a journal envelope")
-        body = envelope["body"]
-        # A damaged escape can decode to a lone surrogate; it then fails the
-        # checksum rather than the encoding.
-        digest = hashlib.sha256(body.encode("utf-8", "surrogatepass")).hexdigest()
-        if digest != envelope["checksum"]:
-            raise JournalCorruption(
-                f"{path} line {i}: checksum mismatch "
-                f"(expected {envelope['checksum'][:12]}…, got {digest[:12]}…)"
-            )
-        try:
-            record = json.loads(body)
-        except json.JSONDecodeError as err:  # checksum passed ⇒ impossible tear
-            raise JournalCorruption(f"{path} line {i}: unparseable body") from err
-        if not isinstance(record, dict) or record.get("record") not in RECORD_KINDS:
-            raise JournalCorruption(f"{path} line {i}: unknown record kind")
-        if record.get("seq") != i:
-            raise JournalCorruption(
-                f"{path} line {i}: seq {record.get('seq')} out of order "
+                f"{path} line {number}: seq {record.get('seq')} out of order "
                 "(missing or duplicated record)"
             )
         records.append(record)
@@ -260,22 +203,16 @@ def discover_journals(directory: str | Path) -> dict[str, tuple[Path, ...]]:
     """Map every session id journaled under ``directory`` to its file(s).
 
     Plain and gzip journals are single files named
-    ``<quoted-id>.journal.jsonl``; rotating journals contribute their
-    ``<quoted-id>.journal.NNNNN.jsonl`` segments, grouped and ordered.
+    ``<quoted-id>.journal.jsonl``; a rotating journal is that base name's
+    ``<quoted-id>.journal.NNNNN.jsonl`` segments, in order.  A plain journal
+    wins over segments under the same id.
     """
-    directory = Path(directory)
-    if not directory.is_dir():
-        return {}
     found: dict[str, tuple[Path, ...]] = {}
-    for path in sorted(directory.glob(f"*{JOURNAL_SUFFIX}")):
-        sid = unquote(path.name[: -len(JOURNAL_SUFFIX)])
-        found[sid] = (path,)
-    segment_glob = "*.journal.[0-9][0-9][0-9][0-9][0-9].jsonl"
-    segments: dict[str, list[Path]] = {}
-    for path in sorted(directory.glob(segment_glob)):
-        stem = path.name.rsplit(".", 3)[0]  # "<quoted-id>" from "<id>.journal.NNNNN.jsonl"
-        segments.setdefault(unquote(stem), []).append(path)
-    for sid, paths in segments.items():
-        if sid not in found:  # a plain journal under the same id wins
-            found[sid] = tuple(paths)
+    for path in sorted(Path(directory).glob("*.jsonl")):
+        base = segment_base(path)
+        if not base.name.endswith(JOURNAL_SUFFIX):
+            continue
+        sid = unquote(base.name[: -len(JOURNAL_SUFFIX)])
+        if sid not in found:
+            found[sid] = (base,) if base.exists() else rotated_paths(base)
     return found

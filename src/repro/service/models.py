@@ -13,14 +13,15 @@ objects.
 
 from __future__ import annotations
 
-from typing import Any, Literal, Optional
+from typing import Annotated, Any, Literal, Optional
 
-from pydantic import BaseModel, ConfigDict, Field
+from pydantic import AfterValidator, BaseModel, ConfigDict, Field
 
 from ..algorithms import DEFAULT_MAX_STEP, algorithm_names
 from ..core.job import Instance, Job
 from ..core.metrics import CostReport
 from ..core.schedule import Schedule, segment_from_dict, segment_to_dict
+from .journal import check_session_id
 
 __all__ = [
     "JobModel",
@@ -150,7 +151,9 @@ class SessionCreateRequest(BaseModel):
 
     ``session_id=None`` lets the service mint one.  ``jobs`` seeds the
     session with an initial batch of arrivals (equivalent to streaming them
-    immediately after creation).  ``queue_limit`` bounds one arrival
+    immediately after creation).  A ``session_id`` must also fit a journal
+    file name once percent-encoded (:func:`~repro.service.journal.
+    check_session_id`), journaled or not.  ``queue_limit`` bounds one arrival
     batch — the backpressure knob; a longer batch is rejected with 429.
     ``trace_path`` attaches a per-session
     :class:`~repro.core.tracing.JsonlRecorder` (``sink``: ``plain`` | ``gzip``
@@ -160,7 +163,9 @@ class SessionCreateRequest(BaseModel):
 
     model_config = ConfigDict(extra="forbid")
 
-    session_id: Optional[str] = Field(default=None, min_length=1, max_length=128)
+    session_id: Optional[
+        Annotated[str, Field(min_length=1, max_length=128), AfterValidator(check_session_id)]
+    ] = None
     alpha: float = Field(default=3.0, gt=1.0)
     algorithm: Literal[SESSION_ALGORITHMS] = "NC"  # type: ignore[valid-type]
     max_step: float = Field(default=DEFAULT_MAX_STEP, gt=0.0)

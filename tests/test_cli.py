@@ -287,6 +287,21 @@ class TestTraceStreaming:
         replay = run_cli(capsys, "trace", "--replay", str(path))
         assert "[PASS] Lemma 3" in replay
 
+    def test_replay_damaged_gzip_trace_fails_without_traceback(self, capsys, tmp_path):
+        path = tmp_path / "t.jsonl.gz"
+        run_cli(
+            capsys, "trace", "--jobs", "20", "--seed", "2",
+            "--out", str(path), "--sink", "gzip",
+        )
+        raw = bytearray(path.read_bytes())
+        for pos in range(20, len(raw) - 20, 5):
+            raw[pos] ^= 0x55  # damage the deflate stream throughout
+        path.write_bytes(bytes(raw))
+        assert main(["trace", "--replay", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "replay FAILED" in captured.out and "damaged gzip stream" in captured.out
+        assert "Traceback" not in captured.err
+
     def test_replay_missing_path_exits(self, tmp_path):
         with pytest.raises(SystemExit, match="no trace at"):
             main(["trace", "--replay", str(tmp_path / "nope.jsonl")])

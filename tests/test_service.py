@@ -758,8 +758,14 @@ def test_asgi_adapter_serves_http_between_lifespan_events(tmp_path):
 @settings(max_examples=60, deadline=None)
 def test_every_session_id_is_reachable(sid):
     """Any id a session can be created with answers at its quoted path,
-    through the in-process client and through the ASGI adapter."""
+    through the in-process client and through the ASGI adapter.  An id too
+    long for a journal file name once percent-encoded is a 422 instead."""
     path = "/sessions/" + quote(sid, safe="")
+    if len(quote(sid, safe="")) > 255 - len(".journal.00000.jsonl"):
+        with TestClient(create_app()) as client:
+            assert client.post("/sessions", json_body={"session_id": sid}).status_code == 422
+            assert client.get(path).status_code == 404
+        return
     with TestClient(create_app()) as client:
         assert client.post("/sessions", json_body={"session_id": sid}).status_code == 201
         resp = client.get(path)
@@ -1021,6 +1027,41 @@ def test_session_shadow_forgets_completed_jobs():
             await session.submit([Job(0, 10.0, 1.0, 1.0)])
 
     asyncio.run(drive())
+
+
+def test_session_ids_must_fit_a_journal_file_name(tmp_path):
+    """Percent-encoded, with a rotated segment's suffix, an id must fit a
+    255-byte file name; a longer one is a 422 for every session, journaled
+    or not, and leaves no journal behind."""
+    fits = "é" * 39 + "a"  # 235 bytes encoded: 255 with ".journal.00000.jsonl"
+    manager = SessionManager(journal_dir=tmp_path, journal_sink="rotate:2")
+    with TestClient(create_app(manager)) as client:
+        assert client.post("/sessions", json_body={"session_id": fits}).status_code == 201
+        for k in range(3):
+            job = {"id": k, "release": float(k), "volume": 1.0, "density": 1.0}
+            resp = client.post(f"/sessions/{quote(fits, safe='')}/jobs", json_body={"jobs": [job]})
+            assert resp.status_code == 202
+        for sid in (fits + "b", "é" * 41):
+            resp = client.post("/sessions", json_body={"session_id": sid})
+            assert resp.status_code == 422
+            assert "at most 235 fit a 255-byte journal file name" in resp.json()["detail"]
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == [f"{quote(fits, safe='')}.journal.{i:05d}.jsonl" for i in range(2)]
+    assert max(len(n.encode()) for n in names) == 255
+    with TestClient(create_app()) as client:
+        resp = client.post("/sessions", json_body={"session_id": "é" * 41})
+        assert resp.status_code == 422
+
+
+def test_os_error_500_does_not_echo_a_path(tmp_path):
+    journal_dir = tmp_path / "journals"
+    manager = SessionManager(journal_dir=journal_dir)
+    journal_dir.rmdir()
+    journal_dir.write_text("not a directory")
+    with TestClient(create_app(manager)) as client:
+        resp = client.post("/sessions", json_body={"session_id": "s"})
+    assert resp.status_code == 500
+    assert resp.json() == {"detail": "NotADirectoryError: Not a directory"}
 
 
 def test_restore_quarantines_a_non_utf8_journal(tmp_path):

@@ -52,13 +52,12 @@ from repro.runtime.chaos import (
     run_campaign,
 )
 from repro.service import TestClient, create_app, serve
+from repro.core.tracing import corrupt_line, seal
 from repro.service.journal import (
     JournalCorruption,
     JournalWriteAborted,
     SessionJournal,
-    corrupt_line,
     discover_journals,
-    encode_record,
     journal_path,
     read_journal,
 )
@@ -162,7 +161,7 @@ def test_interior_corruption_raises(tmp_path):
 
 def test_checksum_mismatch_raises(tmp_path):
     path = journal_path(tmp_path, "s")
-    line = encode_record({"record": "session_close", "session": "s", "seq": 0})
+    line = seal({"record": "session_close", "session": "s", "seq": 0})
     envelope = json.loads(line)
     envelope["checksum"] = "0" * 64
     path.write_text(json.dumps(envelope) + "\n" + line + "\n", encoding="utf-8")
@@ -173,8 +172,8 @@ def test_checksum_mismatch_raises(tmp_path):
 def test_sequence_gap_raises(tmp_path):
     path = journal_path(tmp_path, "s")
     lines = [
-        encode_record({"record": "session_create", "session": "s", "request": {}, "seq": 0}),
-        encode_record({"record": "session_close", "session": "s", "seq": 5}),  # gap
+        seal({"record": "session_create", "session": "s", "request": {}, "seq": 0}),
+        seal({"record": "session_close", "session": "s", "seq": 5}),  # gap
     ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(JournalCorruption):

@@ -10,6 +10,7 @@ differentials over the golden corpus.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 
@@ -193,6 +194,41 @@ class TestCheckpoints:
             for e in ctx.recorder.events_of(kind="shard_checkpoint")
         ]
         assert "corrupt_discard" in actions and "resume" in actions
+
+    @pytest.mark.parametrize(
+        "damage",
+        [b'{"checksum": "x", "body": 5}', b"[1, 2, 3]", b'{"body": "\xff\xfe"}'],
+        ids=["non-string-body", "list", "non-utf8"],
+    )
+    def test_malformed_checkpoint_discarded_and_recomputed(self, tmp_path, damage):
+        inst = random_instance(12, seed=4, volume="uniform")
+        power = PowerLaw(ALPHA)
+        first = run_sharded(inst, power, 3, force_serial=True, checkpoint_dir=tmp_path)
+        victim = sorted(tmp_path.glob("shard-*.json"))[0]
+        victim.write_bytes(damage)
+        ctx = _ctx(power)
+        second = run_sharded(
+            inst, power, 3, force_serial=True, checkpoint_dir=tmp_path, context=ctx
+        )
+        assert second.resumed == len(second.shards) - 1
+        assert second.report == first.report
+        actions = [e.payload["action"] for e in ctx.recorder.events_of(kind="shard_checkpoint")]
+        assert actions.count("corrupt_discard") == 1
+
+    def test_checkpoint_in_the_pre_canonical_envelope_resumes(self, tmp_path):
+        """Checkpoints once stored the body with default separators inside a
+        ``json.dumps`` envelope; those files must still load."""
+        inst = random_instance(12, seed=4, volume="uniform")
+        power = PowerLaw(ALPHA)
+        first = run_sharded(inst, power, 3, force_serial=True, checkpoint_dir=tmp_path)
+        for path in tmp_path.glob("shard-*.json"):
+            result = json.loads(json.loads(path.read_text())["body"])
+            body = json.dumps(result, sort_keys=True)
+            checksum = hashlib.sha256(body.encode("utf-8")).hexdigest()
+            path.write_text(json.dumps({"checksum": checksum, "body": body}))
+        second = run_sharded(inst, power, 3, force_serial=True, checkpoint_dir=tmp_path)
+        assert second.resumed == len(second.shards)
+        assert second.report == first.report
 
     def test_corruption_fault_caught_by_checksum(self, tmp_path):
         inst = random_instance(12, seed=4, volume="uniform")

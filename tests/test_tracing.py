@@ -5,6 +5,11 @@ The contracts under test:
 
 * recorders — NullRecorder is off and free, MemoryRecorder collects typed
   events, JsonlRecorder round-trips losslessly through `read_jsonl`;
+* the line reader — plain, gzip and rotated traces read back every event
+  before the first damaged line, drop only a torn final line of the final
+  file, and raise `ValueError` on any other damage (hypothesis fuzz);
+* the checksum envelope — `seal`/`unseal` round-trip canonically, and
+  `unseal` raises `SealError` on every malformed or corrupted envelope;
 * the metrics substrate — `ShadowCounters` is a view over one
   `MetricsRegistry`, so counter bumps and ad-hoc metrics share storage;
 * emission — traced runs of C, NC, NC-general and the engine produce events
@@ -17,12 +22,18 @@ The contracts under test:
 
 from __future__ import annotations
 
+import gzip
+import hashlib
 import json
 import pathlib
+import tempfile
 import threading
 import time
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.clairvoyant import simulate_clairvoyant
 from repro.algorithms.nc_general import simulate_nc_general
@@ -36,21 +47,25 @@ from repro.core.tracing import (
     EVENT_KINDS,
     NULL_RECORDER,
     FileSink,
-    GzipSink,
     JsonlRecorder,
     MemoryRecorder,
     MetricsRegistry,
     NullRecorder,
     RotatingSink,
+    SealError,
     TraceEvent,
     TraceRecorder,
     TraceSink,
+    corrupt_line,
     follow_jsonl,
     iter_jsonl,
     iter_trace,
     make_sink,
     read_jsonl,
     rotated_paths,
+    seal,
+    segment_base,
+    unseal,
 )
 from repro.parallel.nc_par import simulate_nc_par
 from repro.workloads import random_instance
@@ -175,12 +190,12 @@ class TestSinks:
 
     def test_sinks_satisfy_protocol(self, tmp_path):
         assert isinstance(FileSink(tmp_path / "a.jsonl"), TraceSink)
-        assert isinstance(GzipSink(tmp_path / "b.jsonl.gz"), TraceSink)
+        assert isinstance(make_sink(tmp_path / "b.jsonl.gz", "gzip"), TraceSink)
         assert isinstance(RotatingSink(tmp_path / "c.jsonl", 10), TraceSink)
 
     def test_make_sink_specs(self, tmp_path):
         assert isinstance(make_sink(tmp_path / "x", "plain"), FileSink)
-        assert isinstance(make_sink(tmp_path / "x", "gzip"), GzipSink)
+        assert isinstance(make_sink(tmp_path / "x", "gzip"), FileSink)
         rot = make_sink(tmp_path / "x.jsonl", "rotate:50")
         assert isinstance(rot, RotatingSink) and rot.max_events == 50
         with pytest.raises(ValueError, match="sink spec"):
@@ -285,6 +300,231 @@ class TestSinks:
         ):
             seen.append(e)
         assert len(seen) == 5
+
+
+def _write_trace(path: pathlib.Path, sink: str, n: int = 24) -> tuple[pathlib.Path, ...]:
+    """A small trace: a run_meta header, then ``n`` events with non-ASCII text."""
+    with JsonlRecorder(path, sink=sink) as rec:
+        rec.emit("run_meta", 0.0, "harness", alpha=3.0, note="é")
+        for k in range(n):
+            rec.emit("release", float(k), "C", job=k, label="job-é" * (k % 3))
+    return rec.paths
+
+
+class TestLineReader:
+    def test_torn_line_in_a_non_final_segment_raises(self, tmp_path):
+        segments = _write_trace(tmp_path / "t.jsonl", "rotate:7")
+        first = segments[0].read_bytes()
+        segments[0].write_bytes(first[: len(first) - 15])  # tear its last line
+        with pytest.raises(ValueError, match="not a trailing tear") as err:
+            list(iter_trace(segments))
+        assert str(segments[0]) in str(err.value)
+
+    def test_torn_final_line_of_the_final_segment_is_dropped(self, tmp_path):
+        segments = _write_trace(tmp_path / "t.jsonl", "rotate:7")
+        full = list(iter_trace(segments))
+        last = segments[-1].read_bytes()
+        segments[-1].write_bytes(last[: len(last) - 15])
+        assert list(iter_trace(segments)) == full[:-1]
+
+    def test_non_utf8_torn_final_line_is_dropped(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        _write_trace(path, "plain", n=3)
+        with path.open("ab") as fh:
+            fh.write(b'{"component": "\xe2\x82')  # a write cut inside a UTF-8 sequence
+        assert len(read_jsonl(path)) == 4
+
+    def test_complete_but_invalid_final_line_raises(self, tmp_path):
+        """Only a write cut short is a tear: a whole JSON line that is no
+        event is damage, even at the tail."""
+        path = tmp_path / "t.jsonl"
+        _write_trace(path, "plain", n=3)
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write('{"kind": "release"}\n')
+        with pytest.raises(ValueError, match="not a trace event"):
+            read_jsonl(path)
+
+    def test_damaged_deflate_stream_raises_value_error(self, tmp_path):
+        path = tmp_path / "t.jsonl.gz"
+        _write_trace(path, "gzip", n=200)
+        raw = bytearray(path.read_bytes())
+        for pos in range(20, len(raw) - 20, 7):
+            raw[pos] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="damaged gzip stream"):
+            read_jsonl(path)
+
+    def test_truncated_gzip_in_a_non_final_file_raises(self, tmp_path):
+        first, second = tmp_path / "a.jsonl.gz", tmp_path / "b.jsonl.gz"
+        _write_trace(first, "gzip", n=50)
+        _write_trace(second, "gzip", n=5)
+        data = first.read_bytes()
+        first.write_bytes(data[: len(data) - 8])
+        with pytest.raises(ValueError, match="truncated gzip stream"):
+            list(iter_trace([first, second]))
+
+    def test_follow_jsonl_rejects_a_corrupt_complete_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        _write_trace(path, "plain", n=3)
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = lines[1][:-10]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError, match="not a trailing tear"):
+            list(follow_jsonl(path, poll_interval=0.01, idle_timeout=0.05))
+
+    def test_segment_base_inverts_the_segment_names(self, tmp_path):
+        segments = _write_trace(tmp_path / "t.x.jsonl", "rotate:7")
+        assert {segment_base(p) for p in segments} == {tmp_path / "t.x.jsonl"}
+        assert segment_base(tmp_path / "t.0001.jsonl") == tmp_path / "t.0001.jsonl"
+        assert segment_base(tmp_path / "t.jsonl") == tmp_path / "t.jsonl"
+
+
+def _line_starts(data: bytes) -> list[int]:
+    return [0] + [i + 1 for i, b in enumerate(data) if b == 0x0A][:-1]
+
+
+def _gunzip_prefix(data: bytes) -> bytes:
+    """What a streaming gunzip recovers from ``data`` before it fails."""
+    inflate = zlib.decompressobj(16 + zlib.MAX_WBITS)
+    out = bytearray()
+    for i in range(len(data)):
+        try:
+            out += inflate.decompress(data[i : i + 1])
+        except zlib.error:
+            break
+    return bytes(out)
+
+
+_FUZZ_TRACES: dict[str, tuple[list[bytes], list[TraceEvent], list[int]]] = {}
+
+
+def _fuzz_trace(sink: str) -> tuple[list[bytes], list[TraceEvent], list[int]]:
+    """(file bytes, logical events, events per line in stream order), cached."""
+    if sink not in _FUZZ_TRACES:
+        with tempfile.TemporaryDirectory() as tmp:
+            suffix = ".jsonl.gz" if sink == "gzip" else ".jsonl"
+            paths = _write_trace(pathlib.Path(tmp) / f"t{suffix}", sink)
+            files = [p.read_bytes() for p in paths]
+            events = list(iter_trace(paths))
+        per_line = []
+        for i, data in enumerate(files):
+            text = gzip.decompress(data) if sink == "gzip" else data
+            for k, line in enumerate(text.splitlines()):
+                replayed = i > 0 and k == 0 and b"segment_header" in line
+                per_line.append(0 if replayed else 1)
+        _FUZZ_TRACES[sink] = (files, events, per_line)
+    return _FUZZ_TRACES[sink]
+
+
+@pytest.mark.parametrize("sink", ["plain", "gzip", "rotate:7"])
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_trace_readers_survive_any_byte_damage(sink, data):
+    """Overwrite bytes of a real trace and maybe truncate one file:
+    ``iter_trace`` (and ``iter_jsonl`` on one file) yield events or raise
+    ``ValueError``, and every event before the first damaged line comes back."""
+    files, events, per_line = _fuzz_trace(sink)
+    damaged = [bytearray(f) for f in files]
+    n_files = len(files)
+    hits = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n_files - 1), st.integers(0, 10**6), st.integers(0, 255)
+            ),
+            max_size=4,
+        )
+    )
+    first_bad: list[tuple[int, int]] = []  # (file, byte offset) of each change
+    for i, pos, byte in hits:
+        pos %= len(damaged[i])
+        if damaged[i][pos] != byte:
+            damaged[i][pos] = byte
+            first_bad.append((i, pos))
+    cut = data.draw(st.none() | st.tuples(st.integers(0, n_files - 1), st.integers(0, 10**6)))
+    if cut is not None:
+        i, pos = cut
+        pos %= len(damaged[i]) + 1
+        if pos < len(damaged[i]):
+            del damaged[i][pos:]
+            first_bad.append((i, pos))
+    # Events whose lines lie wholly before the first damaged byte.
+    if sink == "gzip":
+        plain = gzip.decompress(files[0])
+        got = _gunzip_prefix(bytes(damaged[0]))
+        same = next((k for k, (a, b) in enumerate(zip(plain, got)) if a != b), len(got))
+        bad = (0, same) if same < len(plain) else None
+        texts = [plain]
+    else:
+        bad = min(first_bad, default=None)
+        texts = files
+    intact = len(events)
+    if bad is not None:
+        lines_before = sum(len(_line_starts(t)) for t in texts[: bad[0]])
+        lines_before += sum(1 for s in _line_starts(texts[bad[0]]) if s <= bad[1]) - 1
+        intact = sum(per_line[:lines_before])
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, raw in enumerate(damaged):
+            path = pathlib.Path(tmp) / f"t.{i:05d}.jsonl"
+            path.write_bytes(bytes(raw))
+            paths.append(path)
+        readers = [lambda: iter_trace(paths)]
+        if n_files == 1:
+            readers.append(lambda: iter_jsonl(paths[0]))
+        for read in readers:
+            got_events: list[TraceEvent] = []
+            try:
+                for event in read():
+                    assert isinstance(event, TraceEvent)
+                    got_events.append(event)
+            except ValueError:
+                raised = True
+            else:
+                raised = False
+            assert got_events[:intact] == events[: min(intact, len(got_events))]
+            if sink != "gzip" or not raised:
+                # A deflate error may cost the lines decoded in its chunk.
+                assert len(got_events) >= intact
+
+
+class TestEnvelope:
+    def test_seal_round_trips_and_is_canonical(self):
+        record = {"b": [1, 2.5], "a": "é"}
+        line = seal(record)
+        assert unseal(line) == record
+        assert line == seal(dict(reversed(record.items())))
+        assert line.startswith('{"body":"{\\"a\\":') and '"checksum":"' in line
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "not json",
+            "[1, 2]",
+            '{"checksum": "x", "body": 5}',
+            '{"checksum": 5, "body": "{}"}',
+            '{"body": "{}"}',
+            json.dumps({"body": "[1]", "checksum": None}),
+        ],
+    )
+    def test_unseal_rejects_malformed_envelopes(self, text):
+        with pytest.raises(SealError):
+            unseal(text)
+
+    def test_unseal_rejects_a_body_that_is_not_an_object(self):
+        body = "[1]"
+        with pytest.raises(SealError, match="not a JSON object"):
+            unseal(json.dumps({"body": body, "checksum": _sha(body)}))
+
+    @given(st.dictionaries(st.text(max_size=5), st.integers() | st.text(max_size=8)))
+    @settings(max_examples=60, deadline=None)
+    def test_corrupt_line_is_always_caught(self, record):
+        with pytest.raises(SealError):
+            unseal(corrupt_line(seal(record)))
+
+
+def _sha(body: str) -> str:
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
 class TestMetricsRegistry:
