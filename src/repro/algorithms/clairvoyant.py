@@ -97,7 +97,7 @@ def simulate_clairvoyant(
 ) -> ClairvoyantRun:
     """Exact event-driven simulation of Algorithm C under ``P(s)=s**alpha``.
 
-    A :class:`~repro.extensions.bounded_speed.CappedPowerLaw` clips the speed
+    A :class:`~repro.core.power.CappedPowerLaw` clips the speed
     rule at its ``s_max``: while the remaining weight exceeds ``P(s_max)``
     the machine saturates (one :class:`ConstantSegment` per piece, weight
     falling linearly), then the ordinary decay takes over.

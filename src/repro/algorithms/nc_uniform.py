@@ -308,7 +308,7 @@ def simulate_nc_uniform(
     staged-advance contract.  The pass itself is one :class:`NCUniformRunner`
     fed the whole instance.
 
-    A :class:`~repro.extensions.bounded_speed.CappedPowerLaw` clips the growth
+    A :class:`~repro.core.power.CappedPowerLaw` clips the growth
     rule at its ``s_max``: once ``U`` reaches ``P(s_max)`` the machine
     saturates and ``U`` grows *linearly* to the job's end (a
     :class:`ConstantSegment` after the growth piece), and the prefix shadow

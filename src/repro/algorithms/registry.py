@@ -16,10 +16,9 @@ from types import MappingProxyType
 from typing import Any, Mapping
 
 from ..core.job import Instance
-from ..core.power import PowerFunction
+from ..core.power import CappedPowerLaw, PowerFunction
 from ..core.schedule import Schedule
 from ..core.shadow import SimulationContext
-from ..extensions.bounded_speed import CappedPowerLaw
 from . import baselines
 
 __all__ = ["DEFAULT_MAX_STEP", "AlgorithmSpec", "ALGORITHMS", "algorithm_names", "algorithm_spec"]

@@ -37,24 +37,16 @@ import sys
 from typing import Sequence
 
 from . import PowerLaw
-from .analysis import (
-    build_table1,
-    empirical_ratio,
-    format_ascii_chart,
-    format_table,
-    power_curve,
-    render_table1,
-    run_algorithm,
-)
 from .algorithms import DEFAULT_MAX_STEP, algorithm_names
 from .core.job import Instance, Job
 from .parallel.shard import FAMILIES as SHARD_FAMILIES
-from .workloads import random_instance
 
 __all__ = ["main", "build_parser"]
 
 
 def _workload(args: argparse.Namespace) -> Instance:
+    from .workloads import random_instance
+
     return random_instance(
         args.jobs,
         args.seed,
@@ -295,6 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> str:
+    from .analysis import format_table, run_algorithm
+
     power = PowerLaw(args.alpha)
     inst = _workload(args)
     rep = run_algorithm(args.algorithm, inst, power, max_step=args.max_step)
@@ -315,6 +309,8 @@ def _cmd_run(args: argparse.Namespace) -> str:
 
 
 def _cmd_ratio(args: argparse.Namespace) -> str:
+    from .analysis import empirical_ratio, format_table
+
     power = PowerLaw(args.alpha)
     inst = _workload(args)
     res = empirical_ratio(
@@ -328,6 +324,8 @@ def _cmd_ratio(args: argparse.Namespace) -> str:
 
 
 def _cmd_table1(args: argparse.Namespace) -> str:
+    from .analysis import build_table1, render_table1
+
     rows = build_table1(
         args.alpha,
         uniform_n=args.uniform_jobs,
@@ -339,6 +337,7 @@ def _cmd_table1(args: argparse.Namespace) -> str:
 
 def _cmd_figures(args: argparse.Namespace) -> str:
     from .algorithms import simulate_clairvoyant, simulate_nc_uniform
+    from .analysis import format_ascii_chart, power_curve
 
     power = PowerLaw(args.alpha)
     inst = Instance([Job(0, 0.0, args.weight, 1.0)])
@@ -351,6 +350,7 @@ def _cmd_figures(args: argparse.Namespace) -> str:
 
 
 def _cmd_lower_bound(args: argparse.Namespace) -> str:
+    from .analysis import format_table
     from .parallel import adversarial_ratio
 
     power = PowerLaw(args.alpha)
@@ -367,6 +367,7 @@ def _cmd_lower_bound(args: argparse.Namespace) -> str:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> str:
+    from .analysis import format_table
     from .parallel import simulate_c_par, simulate_nc_par
 
     power = PowerLaw(args.alpha)
@@ -391,6 +392,7 @@ def _cmd_cluster(args: argparse.Namespace) -> str:
 
 
 def _cmd_opt(args: argparse.Namespace) -> str:
+    from .analysis import format_table
     from .core.metrics import evaluate
     from .offline.convex import fractional_lower_bound, schedule_from_bound
 
@@ -519,6 +521,7 @@ def _cmd_serve(args: argparse.Namespace) -> str:
 
 
 def _cmd_shard(args: argparse.Namespace) -> tuple[str, int]:
+    from .analysis import format_table
     from .parallel.shard import run_sharded
     from .runtime.pool import PoolPolicy
 

@@ -8,24 +8,30 @@ for any monotone convex power function, so the library supports both:
 
 * :class:`PowerLaw` — the ``s**alpha`` model with exact closed-form inverse and
   derivative; every analytic fast path in the simulators keys off this class.
+* :class:`CappedPowerLaw` — ``s**alpha`` with a hard maximum speed, the
+  speed-bounded model of the paper's related work (see
+  :mod:`repro.extensions.bounded_speed`).
 * :class:`TabulatedPower` — an arbitrary convex power curve given by samples,
   with monotone interpolation and a numeric inverse; exercised by the generic
   numeric engine.
 
-Both expose the interface of :class:`PowerFunction`.
+All expose the interface of :class:`PowerFunction`.  numpy is imported only
+by the code that uses it (:class:`TabulatedPower`, ``power_array`` and
+``validate``), so a run under ``s**alpha`` never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InvalidPowerFunctionError
 
-__all__ = ["PowerFunction", "PowerLaw", "TabulatedPower", "CUBE_LAW"]
+if TYPE_CHECKING:
+    import numpy as np
+
+__all__ = ["PowerFunction", "PowerLaw", "CappedPowerLaw", "TabulatedPower", "CUBE_LAW"]
 
 
 class PowerFunction(ABC):
@@ -49,6 +55,8 @@ class PowerFunction(ABC):
 
     def power_array(self, speeds: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`power` (default: elementwise loop)."""
+        import numpy as np
+
         return np.array([self.power(float(s)) for s in np.asarray(speeds).ravel()]).reshape(
             np.asarray(speeds).shape
         )
@@ -62,6 +70,8 @@ class PowerFunction(ABC):
         """
         if abs(self.power(0.0)) > 1e-12:
             raise InvalidPowerFunctionError(f"P(0) must be 0, got {self.power(0.0)!r}")
+        import numpy as np
+
         grid = np.linspace(0.0, probe_max, samples)
         vals = self.power_array(grid)
         diffs = np.diff(vals)
@@ -109,6 +119,8 @@ class PowerLaw(PowerFunction):
         return self.alpha * speed ** (self.alpha - 1.0)
 
     def power_array(self, speeds: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(speeds, dtype=float) ** self.alpha
 
     def __repr__(self) -> str:
@@ -121,6 +133,51 @@ class PowerLaw(PowerFunction):
         return hash(("PowerLaw", self.alpha))
 
 
+class CappedPowerLaw(PowerLaw):
+    """``P(s) = s**alpha`` with a hard maximum speed.
+
+    Subclasses :class:`PowerLaw` so the analytic decay/growth segments (which
+    only ever exist *below* the cap) keep their closed-form energies.
+    ``power`` rejects infeasible speeds; ``speed`` clips at the cap — the
+    natural semantics for the power-equals-weight rule ("run as the rule says,
+    but never faster than the hardware allows").
+    """
+
+    __slots__ = ("s_max",)
+
+    def __init__(self, alpha: float, s_max: float) -> None:
+        super().__init__(alpha)
+        if not (s_max > 0 and math.isfinite(s_max)):
+            raise InvalidPowerFunctionError(f"s_max must be finite > 0, got {s_max}")
+        self.s_max = float(s_max)
+
+    @property
+    def saturation_weight(self) -> float:
+        """The weight level ``P(s_max)`` above which the machine saturates."""
+        return self.s_max**self.alpha
+
+    def power(self, speed: float) -> float:
+        if speed > self.s_max * (1 + 1e-9):
+            raise ValueError(f"speed {speed} exceeds the cap {self.s_max}")
+        return super().power(min(speed, self.s_max))
+
+    def speed(self, power: float) -> float:
+        return min(super().speed(power), self.s_max)
+
+    def __repr__(self) -> str:
+        return f"CappedPowerLaw(alpha={self.alpha}, s_max={self.s_max})"
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, CappedPowerLaw)
+            and other.alpha == self.alpha
+            and other.s_max == self.s_max
+        )
+
+    def __hash__(self) -> int:
+        return hash(("CappedPowerLaw", self.alpha, self.s_max))
+
+
 class TabulatedPower(PowerFunction):
     """A convex power curve given by ``(speed, power)`` sample points.
 
@@ -131,6 +188,8 @@ class TabulatedPower(PowerFunction):
     """
 
     def __init__(self, speeds: Sequence[float], powers: Sequence[float]) -> None:
+        import numpy as np
+
         s = np.asarray(speeds, dtype=float)
         p = np.asarray(powers, dtype=float)
         if s.ndim != 1 or s.shape != p.shape or s.size < 2:
@@ -146,13 +205,15 @@ class TabulatedPower(PowerFunction):
             raise InvalidPowerFunctionError("power samples must be convex")
         self._s = s
         self._p = p
+        #: bound once here so the per-step ``power`` calls import nothing
+        self._interp = np.interp
         self._final_slope = float(slopes[-1]) if slopes.size else 0.0
 
     def power(self, speed: float) -> float:
         if speed < 0:
             raise ValueError(f"speed must be non-negative, got {speed}")
         if speed <= self._s[-1]:
-            return float(np.interp(speed, self._s, self._p))
+            return float(self._interp(speed, self._s, self._p))
         return float(self._p[-1] + self._final_slope * (speed - self._s[-1]))
 
     def speed(self, power: float) -> float:
@@ -163,7 +224,7 @@ class TabulatedPower(PowerFunction):
             # curve through the origin) map to their *right* edge: the maximal
             # speed at that power.  Running faster for free dominates, which
             # is the semantics the power-equals-weight scheduling rule needs.
-            idx = int(np.searchsorted(self._p, power, side="right"))
+            idx = int(self._p.searchsorted(power, side="right"))
             if idx >= self._p.size:
                 return float(self._s[-1])
             if self._p[idx - 1] == power and idx >= 1:
@@ -180,7 +241,7 @@ class TabulatedPower(PowerFunction):
             raise ValueError(f"speed must be non-negative, got {speed}")
         if speed >= self._s[-1]:
             return self._final_slope
-        idx = int(np.searchsorted(self._s, speed, side="right"))
+        idx = int(self._s.searchsorted(speed, side="right"))
         idx = max(1, min(idx, self._s.size - 1))
         return float((self._p[idx] - self._p[idx - 1]) / (self._s[idx] - self._s[idx - 1]))
 

@@ -37,8 +37,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
-from scipy.integrate import quad
-
 from . import kernels
 from .errors import ScheduleError
 from .power import PowerFunction, PowerLaw
@@ -59,6 +57,21 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-9
+
+
+def _quadrature_energy(seg: Segment, power: PowerFunction) -> float:
+    """``∫ P(s(t)) dt`` over ``seg`` by adaptive quadrature, for a power
+    function with no closed form on the segment's profile.
+
+    scipy is imported here rather than with the module: under ``s**alpha``
+    every segment energy is closed form (Lemma 3), so only a run under
+    another power function (a :class:`~repro.core.power.TabulatedPower`)
+    pays for loading it.
+    """
+    from scipy.integrate import quad
+
+    val, _ = quad(lambda t: power.power(seg.speed_at(seg.t0 + t)), 0.0, seg.duration, limit=200)
+    return float(val)
 
 
 @dataclass(frozen=True)
@@ -221,10 +234,6 @@ class _PowerLawSegment(Segment):
         if self.job_id is None:
             raise ScheduleError("power-law segments must process a job")
 
-    def _numeric_energy(self, power: PowerFunction) -> float:
-        val, _ = quad(lambda t: power.power(self.speed_at(self.t0 + t)), 0.0, self.duration, limit=200)
-        return float(val)
-
     def _matches(self, power: PowerFunction) -> bool:
         return isinstance(power, PowerLaw) and math.isclose(power.alpha, self.alpha, rel_tol=1e-12)
 
@@ -262,7 +271,7 @@ class DecaySegment(_PowerLawSegment):
         if self._matches(power):
             x_end = kernels.decay_weight_after(self.x0, self.rho, self.duration, self.alpha)
             return kernels.decay_energy_between(self.x0, x_end, self.rho, self.alpha)
-        return self._numeric_energy(power)
+        return _quadrature_energy(self, power)
 
     def flow_integral(self, tau: float) -> float:
         tau = min(max(tau, 0.0), self.duration)
@@ -308,7 +317,7 @@ class GrowthSegment(_PowerLawSegment):
         if self._matches(power):
             x_end = kernels.growth_weight_after(self.x0, self.rho, self.duration, self.alpha)
             return kernels.growth_energy_between(self.x0, x_end, self.rho, self.alpha)
-        return self._numeric_energy(power)
+        return _quadrature_energy(self, power)
 
     def flow_integral(self, tau: float) -> float:
         tau = min(max(tau, 0.0), self.duration)
@@ -361,8 +370,7 @@ class ScaledSegment(Segment):
         if isinstance(power, PowerLaw):
             # P(c*s) = c**alpha * P(s), so the energy scales by c**alpha.
             return self.factor**power.alpha * self.base.energy(power)
-        val, _ = quad(lambda t: power.power(self.speed_at(self.t0 + t)), 0.0, self.duration, limit=200)
-        return float(val)
+        return _quadrature_energy(self, power)
 
     def flow_integral(self, tau: float) -> float:
         return self.factor * self.base.flow_integral(tau)

@@ -1107,7 +1107,7 @@ def shadow_params(power: PowerFunction) -> tuple[float, float | None]:
 
     The one place the speed cap is read off a power function: every analytic
     simulator and shadow factory takes its dynamics from here, so a
-    :class:`~repro.extensions.bounded_speed.CappedPowerLaw` is honoured (or
+    :class:`~repro.core.power.CappedPowerLaw` is honoured (or
     refused) everywhere alike.
     """
     alpha = getattr(power, "alpha", None)

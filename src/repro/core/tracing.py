@@ -75,6 +75,7 @@ checkpoint).  ``tests/test_tracing.py`` enforces this.
 from __future__ import annotations
 
 import functools
+import glob
 import gzip
 import hashlib
 import json
@@ -449,7 +450,8 @@ def make_sink(path: str | Path, spec: str) -> TraceSink:
 def rotated_paths(base: str | Path) -> tuple[Path, ...]:
     """Segment files a :class:`RotatingSink` produced for ``base``, in order."""
     base = Path(base)
-    pattern = f"{base.stem}.[0-9][0-9][0-9][0-9][0-9]{base.suffix}"
+    # The base name is literal: a "[", "*" or "?" in it must not match others.
+    pattern = f"{glob.escape(base.stem)}.[0-9][0-9][0-9][0-9][0-9]{glob.escape(base.suffix)}"
     return tuple(sorted(base.parent.glob(pattern)))
 
 

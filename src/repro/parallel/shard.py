@@ -201,6 +201,21 @@ def _report_from_payload(raw: dict[str, Any]) -> CostReport:
     )
 
 
+def _shard_reports(result: Any, machines: tuple[int, ...]) -> dict[int, CostReport]:
+    """Decode a shard result's per-machine reports.
+
+    Raises ``ValueError`` unless ``result["reports"]`` holds a report for
+    exactly ``machines`` and each one decodes.
+    """
+    try:
+        reports = result["reports"]
+        if set(reports) != {str(m) for m in machines}:
+            raise ValueError(f"reports for {sorted(reports)}, shard has machines {list(machines)}")
+        return {m: _report_from_payload(reports[str(m)]) for m in machines}
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"shard result does not decode: {exc!r}") from exc
+
+
 def compute_shard(payload: dict[str, Any]) -> dict[str, Any]:
     """Compute one shard: per-machine schedules re-derived and evaluated.
 
@@ -301,18 +316,21 @@ class ShardCheckpointStore:
         self._emit("save", shard_id, path=str(path))
         return path
 
-    def load(self, run_key: str, shard_id: int) -> dict[str, Any] | None:
-        path = self._path(run_key, shard_id)
+    def load(self, run_key: str, shard: Shard) -> dict[int, CostReport] | None:
+        """The shard's per-machine reports from its checkpoint, or ``None``
+        when there is none.  A file that fails its checksum, or whose body
+        is not a report for exactly the shard's machines, is discarded."""
+        path = self._path(run_key, shard.shard_id)
         if not path.exists():
             return None
         try:
-            result = unseal(path.read_text(encoding="utf-8"))
-        except ValueError:  # not UTF-8, or no intact envelope: the file lies
+            reports = _shard_reports(unseal(path.read_text(encoding="utf-8")), shard.machines)
+        except ValueError:  # not UTF-8, no intact envelope, or the wrong shape
             path.unlink(missing_ok=True)
-            self._emit("corrupt_discard", shard_id, path=str(path))
+            self._emit("corrupt_discard", shard.shard_id, path=str(path))
             return None
-        self._emit("resume", shard_id, path=str(path))
-        return result
+        self._emit("resume", shard.shard_id, path=str(path))
+        return reports
 
 
 # -- the sharded run ----------------------------------------------------------
@@ -360,13 +378,13 @@ def run_sharded(
     )
     run_key = ShardCheckpointStore.run_key(cluster, algorithm) if store else ""
 
-    results: dict[int, dict[str, Any]] = {}
+    by_machine: dict[int, CostReport] = {}
     resumed = 0
     todo: list[Shard] = []
     for shard in shards:
-        cached = store.load(run_key, shard.shard_id) if store else None
+        cached = store.load(run_key, shard) if store else None
         if cached is not None:
-            results[shard.shard_id] = cached
+            by_machine.update(cached)
             resumed += 1
         else:
             todo.append(shard)
@@ -382,6 +400,7 @@ def run_sharded(
             )
             for s in todo
         ]
+        results: dict[int, dict[str, Any]] = {}
         if force_serial:
             for shard_id, payload in payloads:
                 results[shard_id] = compute_shard(payload)
@@ -395,14 +414,11 @@ def run_sharded(
         if store is not None:
             for shard_id, _ in payloads:
                 store.save(run_key, shard_id, results[shard_id])
+        for shard in todo:
+            by_machine.update(_shard_reports(results[shard.shard_id], shard.machines))
 
     # Merge in machine-index order — the exact float-addition order of
     # ClusterRun.report(), which is what makes the merge bit-identical.
-    by_machine: dict[int, CostReport] = {}
-    for shard in shards:
-        reports = results[shard.shard_id]["reports"]
-        for key, raw in reports.items():
-            by_machine[int(key)] = _report_from_payload(raw)
     merged: CostReport | None = None
     for machine, jobs in cluster.assignments.items():
         if not jobs:

@@ -61,10 +61,9 @@ from ..core.tracing import (
     iter_trace,
     make_sink,
 )
-from ..extensions.bounded_speed import CappedPowerLaw
 from ..algorithms.clairvoyant import simulate_clairvoyant
 from ..algorithms.registry import ALGORITHMS, DEFAULT_MAX_STEP
-from ..core.power import PowerLaw
+from ..core.power import CappedPowerLaw, PowerLaw
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultPlan, FaultSpec, generate_plan
 from ..parallel.c_par import simulate_c_par

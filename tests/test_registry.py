@@ -23,6 +23,7 @@ from repro.algorithms import (
     simulate_nc_general,
 )
 from repro.analysis import run_algorithm
+import repro.analysis.ratios as ratios
 import repro.cli as cli
 from repro.core.shadow import SimulationContext
 from repro.core.tracing import MemoryRecorder
@@ -118,7 +119,8 @@ class TestEntryPointsAgree:
             printed.append(run_algorithm(*args, **kwargs))
             return printed[-1]
 
-        monkeypatch.setattr(cli, "run_algorithm", recording)
+        # ``repro run`` resolves run_algorithm when it runs, not at import.
+        monkeypatch.setattr(ratios, "run_algorithm", recording)
         argv = ["run", "--algorithm", "NC_GENERAL", "--jobs", "20", "--seed", "1"]
         assert cli.main([*argv, "--densities", "loguniform"]) == 0
         out = capsys.readouterr().out

@@ -20,7 +20,7 @@ from repro import PowerLaw
 from repro.core.errors import InvalidInstanceError
 from repro.core.job import Instance, Job
 from repro.core.shadow import SimulationContext
-from repro.core.tracing import MemoryRecorder
+from repro.core.tracing import MemoryRecorder, seal, unseal
 from repro.extensions import CappedPowerLaw
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.parallel import (
@@ -214,6 +214,48 @@ class TestCheckpoints:
         assert second.report == first.report
         actions = [e.payload["action"] for e in ctx.recorder.events_of(kind="shard_checkpoint")]
         assert actions.count("corrupt_discard") == 1
+
+    @pytest.mark.parametrize(
+        "reshape",
+        [
+            lambda result: {"shard_id": result["shard_id"]},
+            lambda result: {**result, "reports": dict(list(result["reports"].items())[1:])},
+            lambda result: {
+                **result,
+                "reports": {k: {**v, "energy": "lots"} for k, v in result["reports"].items()},
+            },
+            lambda result: {
+                **result,
+                "reports": {k: {"energy": v["energy"]} for k, v in result["reports"].items()},
+            },
+            lambda result: {**result, "reports": list(result["reports"].values())},
+        ],
+        ids=["no-reports", "missing-machine", "bad-energy", "report-keys-missing", "reports-list"],
+    )
+    def test_checksum_valid_checkpoint_of_the_wrong_shape_recomputed(self, tmp_path, reshape):
+        """A body that verifies but does not decode to a report for exactly
+        the shard's machines is discarded like a bad envelope."""
+        from repro.core.tracing import seal, unseal
+
+        inst = random_instance(12, seed=4, volume="uniform")
+        power = PowerLaw(ALPHA)
+        first = run_sharded(inst, power, 3, force_serial=True, checkpoint_dir=tmp_path)
+        victim = sorted(tmp_path.glob("shard-*.json"))[0]
+        result = unseal(victim.read_text())
+        assert len(result["reports"]) >= 1
+        victim.write_text(seal(reshape(result)))
+        ctx = _ctx(power)
+        second = run_sharded(
+            inst, power, 3, force_serial=True, checkpoint_dir=tmp_path, context=ctx
+        )
+        assert second.resumed == len(second.shards) - 1
+        assert second.report == first.report == first.cluster.report()
+        actions = [e.payload["action"] for e in ctx.recorder.events_of(kind="shard_checkpoint")]
+        assert actions.count("corrupt_discard") == 1
+        # the recomputed shard was saved again and now resumes
+        third = run_sharded(inst, power, 3, force_serial=True, checkpoint_dir=tmp_path)
+        assert third.resumed == len(third.shards)
+        assert third.report == first.report
 
     def test_checkpoint_in_the_pre_canonical_envelope_resumes(self, tmp_path):
         """Checkpoints once stored the body with default separators inside a

@@ -242,6 +242,20 @@ class TestSinks:
         merged = list(iter_trace(rotated_paths(path)))
         assert [e.payload["stall"] for e in merged] == list(range(9))
 
+    @pytest.mark.parametrize("name", ["t[1].jsonl", "t*.jsonl", "t?.jsonl", "t[a-z].j[s]onl"])
+    def test_rotating_sink_base_name_with_glob_characters(self, tmp_path, name):
+        """A base name is matched literally: its segments are found, and a
+        neighbour that the name would match as a glob pattern is not."""
+        path = tmp_path / name
+        with JsonlRecorder(path, sink="rotate:4") as rec:
+            self._emit_n(rec, 9)
+        with JsonlRecorder(tmp_path / "tx.jsonl", sink="rotate:4") as other:
+            self._emit_n(other, 5)
+        assert rotated_paths(path) == rec.paths
+        assert len(rec.paths) == 3
+        merged = list(iter_trace(rotated_paths(path)))
+        assert [e.payload["stall"] for e in merged] == list(range(9))
+
     def test_truncated_gzip_stops_cleanly(self, tmp_path):
         path = tmp_path / "t.jsonl.gz"
         with JsonlRecorder(path, sink="gzip") as rec:
